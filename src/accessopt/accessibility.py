@@ -147,8 +147,8 @@ def accessibility_scores(
     reachable open site scores 0.
     """
     _check_alignment(matrix, scenario)
-    if not gamma > 0:
-        raise ValidationError(f"gamma must be > 0, got {gamma!r}")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValidationError(f"gamma must be finite and > 0, got {gamma!r}")
     open_set = set(open_sites)
     unknown = sorted(open_set - set(scenario.site_ids))
     if unknown:

@@ -182,7 +182,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _coverage_payload(report: CoverageReport) -> list:
@@ -398,9 +399,9 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    params = _params(cfg)
     scenario = _load(cfg)
     matrices = _matrices(scenario, cfg)
-    params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -427,9 +428,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    params = _params(cfg)
     scenario = _load(cfg)
     matrices = _matrices(scenario, cfg)
-    params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

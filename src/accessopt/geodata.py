@@ -173,9 +173,10 @@ class FacilitySite:
                 f"site '{self.site_id}': unknown status '{self.status}' "
                 f"(expected one of {', '.join(_STATUSES)})"
             )
-        if not self.capacity > 0:
+        if not (self.capacity > 0 and math.isfinite(self.capacity)):
             raise ValidationError(
-                f"site '{self.site_id}': capacity must be > 0, got {self.capacity!r}"
+                f"site '{self.site_id}': capacity must be finite and > 0, "
+                f"got {self.capacity!r}"
             )
 
     @property

@@ -7,10 +7,22 @@ reaching the target ``a_sigma`` everywhere it has population.  The search is
 greedy construction (open whichever candidate cuts the remaining shortfall
 most) followed by best-improvement drop/swap local search; an exhaustive
 subset enumeration doubles as ground truth on small candidate pools.
+
+Each search step screens, then confirms.  The screen costs every move of
+the step at once from the current layout's field: the field after a move
+is ``F - gamma * W[:, out] + gamma * W[:, in]``, and a rounding-error bound
+turns it into a certain lower bound on the move's objective and shortfall,
+and a certain verdict on moves that must be infeasible.  Moves that cannot
+win are dropped; the rest are evaluated canonically in order of their lower
+bound until the next bound exceeds the best confirmed value, and the
+winner is chosen by the same keys as a full scan.  The search therefore
+takes the same moves as evaluating every layout, with bit-identical
+objectives, at the cost of a few canonical evaluations per step.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -34,6 +46,10 @@ IMPROVEMENT_TOL = 1e-12
 DEFAULT_MAX_POOL = 15
 DEFAULT_BUDGET = 1000
 
+_EPS = float(np.finfo(float).eps)
+# absorbs the absolute error of operations whose results underflow
+_TINY = float(np.finfo(float).tiny)
+
 
 class CandidatePoolError(RuntimeError):
     """Exhaustive enumeration refused: candidate pool exceeds the cap."""
@@ -50,6 +66,8 @@ class ObjectiveParams:
 
     def __post_init__(self):
         object.__setattr__(self, "constraint_groups", tuple(self.constraint_groups))
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.a_sigma, self.gamma))):
+            raise ValidationError("alpha, beta, a_sigma and gamma must be finite")
         if self.alpha < 0 or self.beta < 0 or self.a_sigma < 0:
             raise ValidationError("alpha, beta and a_sigma must be non-negative")
         if not self.gamma > 0:
@@ -116,7 +134,10 @@ class _Evaluator:
     column i-entries of W over the open columns, with W = weights * ratios;
     ratios depend only on the site itself, so W never changes during the
     search.  Columns are always summed in ascending site-index order, which
-    keeps every evaluation bit-reproducible.
+    keeps every evaluation bit-reproducible: ``evaluate`` is the canonical
+    value on which every search decision is made.  ``_MoveBlock`` screens
+    moves from fields that are not summed canonically, within the rounding
+    bounds ``field_tol`` and ``sum_tol`` set here.
     """
 
     def __init__(self, scenario: Scenario, matrices, params: ObjectiveParams):
@@ -144,6 +165,8 @@ class _Evaluator:
         ]
         self.candidate_ids = tuple(sorted(scenario.candidate_site_ids))
         self.n_demands = len(scenario.demands)
+        self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
+        self.sum_tol = 2 * (self.n_demands + len(self.contrib) + 16) * _EPS
 
     def open_indices(self, open_candidates) -> list[int]:
         idx = list(self.existing_idx)
@@ -156,11 +179,20 @@ class _Evaluator:
             return np.zeros(self.n_demands)
         return self.params.gamma * self.contrib[group][:, open_idx].sum(axis=1)
 
+    def fields(self, open_candidates) -> dict[str, np.ndarray]:
+        open_idx = self.open_indices(open_candidates)
+        return {g: self.field_vector(g, open_idx) for g in self.contrib}
+
+    def columns(self, group: str, site_ids) -> np.ndarray:
+        """gamma * W for these sites, one column each (D x len(site_ids))."""
+        return self.params.gamma * self.contrib[group][
+            :, [self.site_index[s] for s in site_ids]
+        ]
+
     def evaluate(self, open_candidates) -> tuple[float, bool, float]:
         """(objective, feasible, total squared shortfall) for one layout."""
         p = self.params
-        open_idx = self.open_indices(open_candidates)
-        fields = {g: self.field_vector(g, open_idx) for g in self.contrib}
+        fields = self.fields(open_candidates)
         deviation = np.abs(fields[p.primary_group] - p.a_sigma)
         objective = p.alpha * len(open_candidates) + p.beta * float(
             np.sum(deviation**2)
@@ -192,6 +224,69 @@ class _Evaluator:
         return tuple(out)
 
 
+class _MoveBlock:
+    """Certain bounds on ``evaluate`` for a block of moves, one per column.
+
+    Every move of the block leaves group g with the screened field
+    ``base[g][:, None] + added[g]``: ``added[g]`` is ``gamma * W`` of the
+    site each column opens (a zero column opens none), and ``base[g]`` is
+    the canonical field F of the current layout, less ``gamma * W`` of the
+    site the move closes, if any.
+
+    Every entry of W is >= 0, so a sum of n entries in any order is off by
+    at most n unit roundoffs times its value.  A screened field and the
+    canonical field of the same layout therefore differ by at most
+    ``field_tol * (F + added)`` per row, which is twice the worst case of
+    both sides together; the spare half absorbs the rounding of the bounds
+    themselves.  The objective and the shortfall are sums of at most D
+    squares, so their lower bounds give up the relative slack ``sum_tol``.
+    All of this assumes finite inputs, which ObjectiveParams and the
+    parsers enforce.
+    """
+
+    def __init__(self, ev: _Evaluator, fields, added):
+        self.ev = ev
+        self.low_added, self.high_added = {}, {}
+        for g, block in added.items():
+            err = ev.field_tol * (fields[g][:, None] + block) + _TINY
+            self.low_added[g] = block - err
+            self.high_added[g] = block + err
+
+    def objective(self, base, n_open) -> np.ndarray:
+        """Lower bounds on the objective; ``n_open`` is each move's k."""
+        p = self.ev.params
+        g = p.primary_group
+        gap = base[g][:, None] + self.low_added[g]
+        gap -= p.a_sigma
+        above = p.a_sigma - (base[g][:, None] + self.high_added[g])
+        np.maximum(gap, above, out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        squares = np.einsum("ij,ij->j", gap, gap)
+        return (p.alpha * n_open + p.beta * squares) * (1.0 - self.ev.sum_tol) - _TINY
+
+    def shortfall(self, base) -> np.ndarray:
+        """Lower bounds on the total squared shortfall."""
+        p = self.ev.params
+        total = 0.0
+        for g in p.constraint_groups:
+            below = p.a_sigma - (base[g][:, None] + self.high_added[g])
+            np.maximum(below, 0.0, out=below)
+            below *= self.ev.pos_mask[g][:, None]
+            total = total + np.einsum("ij,ij->j", below, below)
+        return total * (1.0 - self.ev.sum_tol) - _TINY
+
+    def maybe_feasible(self, base) -> np.ndarray:
+        """False where the layout after the move is certainly infeasible."""
+        p = self.ev.params
+        floor = p.a_sigma - FEASIBILITY_TOL
+        result = True
+        for g in p.constraint_groups:
+            high = base[g][:, None] + self.high_added[g]
+            below = (high < floor) & self.ev.pos_mask[g][:, None]
+            result = result & ~below.any(axis=0)
+        return result
+
+
 def objective_value(
     layout: Layout,
     scenario: Scenario,
@@ -216,17 +311,31 @@ def is_feasible(
 
 
 def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]]]:
+    """Open the candidate with the least key (shortfall, objective, cid) until feasible.
+
+    Each step screens every closed candidate, then confirms them in order
+    of their lower bounds until no unconfirmed key can be below the best.
+    """
     open_ids: set[str] = set()
     trace: list[tuple[str, ...]] = []
     remaining = list(ev.candidate_ids)
-    while remaining and not ev.feasible(open_ids):
-        best_key = None
-        best_cid = None
-        for cid in remaining:
-            objective, _, shortfall = ev.evaluate(open_ids | {cid})
+    feasible = ev.feasible(open_ids)
+    while remaining and not feasible:
+        fields = ev.fields(open_ids)
+        screen = _MoveBlock(ev, fields, {g: ev.columns(g, remaining) for g in fields})
+        objective_lo = screen.objective(fields, len(open_ids) + 1)
+        shortfall_lo = screen.shortfall(fields)
+        best = None
+        for t in np.lexsort((objective_lo, shortfall_lo)):
+            if best is not None and (shortfall_lo[t] > best[0] or (
+                    shortfall_lo[t] == best[0] and objective_lo[t] > best[1])):
+                break
+            cid = remaining[t]
+            objective, step_feasible, shortfall = ev.evaluate(open_ids | {cid})
             key = (shortfall, objective, cid)
-            if best_key is None or key < best_key:
-                best_key, best_cid = key, cid
+            if best is None or key < best[:3]:
+                best = (*key, step_feasible)
+        _, _, best_cid, feasible = best
         open_ids.add(best_cid)
         remaining.remove(best_cid)
         trace.append(("open", best_cid))
@@ -248,39 +357,72 @@ def greedy_construct(
     return Layout(frozenset(open_ids))
 
 
+def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
+    """The improving feasible drop or swap a full scan would take, or None.
+
+    Returns (objective, position in the scan, move, layout after the move).
+
+    A full scan enumerates the drops, then the swaps, each in ascending
+    site-id order, and keeps the first move of least objective.  Here all
+    moves of one site to close are screened as one block: column 0 drops
+    it, column 1 + q swaps it for the q-th closed candidate.
+    """
+    outs = sorted(current)
+    closed = [c for c in ev.candidate_ids if c not in current]
+    fields = ev.fields(current)
+    added = {}
+    for g in fields:
+        added[g] = np.zeros((ev.n_demands, 1 + len(closed)))
+        added[g][:, 1:] = ev.columns(g, closed)
+    screen = _MoveBlock(ev, fields, added)
+    n_open = np.full(1 + len(closed), len(current))
+    n_open[0] -= 1
+    threshold = current_obj - IMPROVEMENT_TOL
+    objective_lo = np.empty((len(outs), 1 + len(closed)))
+    maybe_feasible = np.empty(objective_lo.shape, dtype=bool)
+    for r, out in enumerate(outs):
+        base = {g: field - ev.columns(g, [out])[:, 0] for g, field in fields.items()}
+        objective_lo[r] = screen.objective(base, n_open)
+        maybe_feasible[r] = screen.maybe_feasible(base)
+    rows, cols = np.nonzero(maybe_feasible & ~(objective_lo >= threshold))
+    scan_pos = np.where(cols == 0, rows, len(outs) + rows * len(closed) + cols - 1)
+    lows = objective_lo[rows, cols]
+    best = None
+    for t in np.argsort(lows, kind="stable"):
+        if best is not None and lows[t] > best[0]:
+            break
+        out = outs[rows[t]]
+        if cols[t] == 0:
+            move, trial_set = ("drop", out), current - {out}
+        else:
+            inn = closed[cols[t] - 1]
+            move, trial_set = ("swap", out, inn), (current - {out}) | {inn}
+        objective, feasible, _ = ev.evaluate(trial_set)
+        if not feasible or objective >= threshold:
+            continue
+        if best is None or (objective, scan_pos[t]) < best[:2]:
+            best = (objective, scan_pos[t], move, trial_set)
+    return best
+
+
 def _local_search(
     ev: _Evaluator, start: set[str], budget: int
 ) -> tuple[set[str], list[tuple[str, ...]]]:
     current = set(start)
-    if not ev.feasible(current):
+    current_obj, feasible, _ = ev.evaluate(current)
+    if not feasible:
         warnings.warn(
             "local search start layout is infeasible; returning it unchanged",
             stacklevel=3,
         )
         return current, []
     trace: list[tuple[str, ...]] = []
-    current_obj = ev.objective(current)
     for _ in range(budget):
-        best_obj = None
-        best_move = None
-        best_set = None
-        closed = [c for c in ev.candidate_ids if c not in current]
-        moves = [(("drop", sid), current - {sid}) for sid in sorted(current)]
-        moves.extend(
-            (("swap", out, inn), (current - {out}) | {inn})
-            for out in sorted(current)
-            for inn in closed
-        )
-        for move, trial in moves:
-            objective, feasible, _ = ev.evaluate(trial)
-            if not feasible or objective >= current_obj - IMPROVEMENT_TOL:
-                continue
-            if best_obj is None or objective < best_obj:
-                best_obj, best_move, best_set = objective, move, trial
-        if best_move is None:
+        best = _best_move(ev, current, current_obj)
+        if best is None:
             break
-        current, current_obj = set(best_set), best_obj
-        trace.append(best_move)
+        current_obj, _, move, current = best
+        trace.append(move)
     return current, trace
 
 
@@ -304,16 +446,16 @@ def local_search(
 
 
 def _assemble_result(
-    scenario: Scenario,
+    ev: _Evaluator,
     matrices,
-    params: ObjectiveParams,
     open_ids,
     trace,
     bins=None,
 ) -> OptimizationResult:
+    scenario, params = ev.scenario, ev.params
     layout = Layout(frozenset(open_ids))
-    objective = objective_value(layout, scenario, matrices, params)
-    feasible, shortfalls = is_feasible(layout, scenario, matrices, params)
+    objective = ev.objective(layout.open_candidates)
+    shortfalls = ev.shortfalls(layout.open_candidates)
     open_full = set(scenario.existing_site_ids) | set(layout.open_candidates)
     bin_spec = default_bins(params.a_sigma) if bins is None else bins
     fields: dict[str, AccessibilityField] = {}
@@ -327,7 +469,7 @@ def _assemble_result(
     return OptimizationResult(
         layout=layout,
         objective=objective,
-        feasible=feasible,
+        feasible=not shortfalls,
         per_group_fields=fields,
         coverage=coverage,
         shortfalls=shortfalls,
@@ -354,7 +496,7 @@ def optimize(
     if ev.feasible(open_ids):
         open_ids, ls_trace = _local_search(ev, open_ids, budget)
         trace.extend(ls_trace)
-    return _assemble_result(scenario, matrices, params, open_ids, trace, bins)
+    return _assemble_result(ev, matrices, open_ids, trace, bins)
 
 
 def exhaustive_oracle(
@@ -391,4 +533,4 @@ def exhaustive_oracle(
         if best_any is None or key_any < best_any:
             best_any = key_any
     chosen = best_feasible[2] if best_feasible is not None else best_any[3]
-    return _assemble_result(scenario, matrices, params, chosen, (), bins)
+    return _assemble_result(ev, matrices, chosen, (), bins)

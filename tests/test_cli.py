@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from accessopt.cli import build_config, main, parse_groups, read_config_file
+from accessopt.cli import _write_json, build_config, main, parse_groups, read_config_file
 from accessopt.geodata import ValidationError
 
 SMALL_SYNTH = [
@@ -189,3 +189,41 @@ class TestOracleCommand:
         line = next(l for l in stdout.splitlines() if "ratio" in l)
         ratio = float(line.rsplit(":", 1)[1])
         assert ratio >= 1.0 - 1e-12
+
+
+class TestNonFiniteInput:
+    """NaN and infinity are refused with exit code 2 before any output."""
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--alpha", "inf"), ("--beta", "nan"), ("--a-sigma", "nan"), ("--gamma", "inf"),
+    ])
+    def test_objective_parameters(self, tmp_path, capsys, command, flag, value):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "run"
+        code = main([command, "--config", str(cfg), "--out", str(out), flag, value])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_score_gamma(self, tmp_path, capsys):
+        cfg = synth_small(tmp_path / "bundle")
+        code = main(["score", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--gamma", "inf"])
+        assert code == 2
+        assert "gamma must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "solve"])
+    def test_site_capacity_names_file_and_line(self, tmp_path, capsys, command):
+        bundle = tmp_path / "bundle"
+        cfg = synth_small(bundle)
+        lines = (bundle / "sites.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",inf"
+        (bundle / "sites.csv").write_text("\n".join(lines) + "\n")
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{bundle / 'sites.csv'}:3:" in capsys.readouterr().err
+
+    def test_json_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "x.json", {"objective": float("nan")})
