@@ -109,7 +109,12 @@ def supply_demand_ratios(
     if tuple(s.site_id for s in sites) != matrix.site_order:
         raise ValidationError("site order does not match the matrix")
     weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-    pop = population_vector(demands, matrix.group.name)
+    return _ratios(weights, population_vector(demands, matrix.group.name), sites)
+
+
+def _ratios(weights: np.ndarray, pop: np.ndarray,
+            sites: Sequence[FacilitySite]) -> np.ndarray:
+    """Site ratios from the dense decay weights; the caller checks the order."""
     denom = (weights * pop[:, None]).sum(axis=0)
     supply = np.array([s.capacity for s in sites], dtype=float)
     ratios = np.zeros_like(denom)
@@ -155,7 +160,8 @@ def accessibility_scores(
         raise ValidationError(f"unknown site id(s) in open set: {', '.join(unknown)}")
 
     weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-    ratios = supply_demand_ratios(matrix, scenario.demands, scenario.sites)
+    ratios = _ratios(weights, population_vector(scenario.demands, matrix.group.name),
+                     scenario.sites)
     contributions = weights * ratios[None, :]
     open_idx = [j for j, sid in enumerate(matrix.site_order) if sid in open_set]
     if open_idx:
@@ -193,7 +199,16 @@ class CoverageReport:
 
 
 def default_bins(a_sigma: float = DEFAULT_A_SIGMA) -> tuple[tuple[str, float], ...]:
-    """Five coverage bands anchored on the target accessibility."""
+    """Five coverage bands anchored on the target accessibility.
+
+    The bands need a finite target above 0: at a_sigma = 0 all five lower
+    bounds would coincide.
+    """
+    if not (a_sigma > 0 and math.isfinite(a_sigma)):
+        raise ValidationError(
+            f"default coverage bins need a finite a_sigma > 0, got {a_sigma!r}; "
+            "set explicit bins"
+        )
     return (
         ("very-low", 0.0),
         ("low", 0.5 * a_sigma),

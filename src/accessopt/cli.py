@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,7 +119,10 @@ def _convert(key: str, raw: str):
     if key == "constraint_groups":
         return tuple(s.strip() for s in raw.split(",") if s.strip())
     if key == "bins":
-        return tuple(float(s) for s in raw.split(","))
+        bounds = tuple(float(s) for s in raw.split(","))
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValidationError(f"bins must be finite numbers, got {raw.strip()!r}")
+        return bounds
     if key == "bin_labels":
         return tuple(s.strip() for s in raw.split(","))
     kind = {f.name: f.type for f in dataclasses.fields(RunConfig)}[key]
@@ -378,12 +382,12 @@ def cmd_synth(cfg: RunConfig) -> int:
 
 
 def cmd_score(cfg: RunConfig) -> int:
+    bin_spec = _bin_spec(cfg)
     scenario = _load(cfg)
     matrices = _matrices(scenario, cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     open_ids = set(scenario.existing_site_ids)
-    bin_spec = _bin_spec(cfg)
     fields = {}
     for g in scenario.groups:
         field = accessibility_scores(scenario, matrices[g.name], open_ids, cfg.gamma)
@@ -400,9 +404,9 @@ def cmd_score(cfg: RunConfig) -> int:
 
 def cmd_solve(cfg: RunConfig) -> int:
     params = _params(cfg)
+    bin_spec = _bin_spec(cfg)
     scenario = _load(cfg)
     matrices = _matrices(scenario, cfg)
-    bin_spec = _bin_spec(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -429,9 +433,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     params = _params(cfg)
+    bin_spec = _bin_spec(cfg)
     scenario = _load(cfg)
     matrices = _matrices(scenario, cfg)
-    bin_spec = _bin_spec(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     result = exhaustive_oracle(scenario, matrices, params,

@@ -62,9 +62,9 @@ class Edge:
     bidirectional: bool = True
 
     def __post_init__(self):
-        if not self.length_m > 0:
+        if not (self.length_m > 0 and math.isfinite(self.length_m)):
             raise ValidationError(
-                f"edge {self.from_id}->{self.to_id}: length_m must be > 0, "
+                f"edge {self.from_id}->{self.to_id}: length_m must be finite and > 0, "
                 f"got {self.length_m!r}"
             )
 
@@ -106,10 +106,16 @@ class PopulationGroup:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("group name must be non-empty")
-        if not self.walk_speed_m_per_min > 0:
-            raise ValidationError(f"group '{self.name}': walk speed must be > 0")
-        if not self.max_walk_m > 0:
-            raise ValidationError(f"group '{self.name}': max walk distance must be > 0")
+        if not (self.walk_speed_m_per_min > 0 and math.isfinite(self.walk_speed_m_per_min)):
+            raise ValidationError(
+                f"group '{self.name}': walk speed must be finite and > 0, "
+                f"got {self.walk_speed_m_per_min!r}"
+            )
+        if not (self.max_walk_m > 0 and math.isfinite(self.max_walk_m)):
+            raise ValidationError(
+                f"group '{self.name}': max walk distance must be finite and > 0, "
+                f"got {self.max_walk_m!r}"
+            )
 
     @property
     def t_sigma_min(self) -> float:

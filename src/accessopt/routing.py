@@ -2,7 +2,10 @@
 
 Distances are exact shortest paths over edge lengths in meters; they are
 converted to minutes per population group only afterwards, so one round of
-pathfinding serves every group.
+pathfinding serves every group.  Each search stops at the largest walk
+limit of the groups its result serves, so its cost follows the walk radius,
+not the size of the city.  Snapping looks up candidate nodes in a lon/lat
+grid instead of scanning every node.
 """
 
 from __future__ import annotations
@@ -43,23 +46,143 @@ def great_circle_m(a: Coordinate, b: Coordinate) -> float:
     return 2 * EARTH_RADIUS_M * math.asin(math.sqrt(h))
 
 
-def _node_arrays(network: RoadNetwork):
-    ids = sorted(network.nodes)
-    rlon = np.radians([network.nodes[i].lon for i in ids])
-    rlat = np.radians([network.nodes[i].lat for i in ids])
-    return ids, rlon, rlat
+# Snapping buckets the nodes in a lon/lat grid of about this many nodes per
+# cell, and prunes with lower bounds on the distance widened by these slacks:
+# the relative one dwarfs the formula's rounding, the absolute one keeps
+# neighbours whose distance rounds (or underflows) to exactly 0 m.
+_CELL_NODES = 32
+_SNAP_RTOL = 1e-9
+_SNAP_ATOL_M = 1e-6
 
 
-def _nearest_node(point: Coordinate, ids, rlon, rlat) -> tuple[str, float]:
-    plon, plat = math.radians(point.lon), math.radians(point.lat)
+def _haversine_m(plon, plat, cos_plat, rlon, rlat, cos_rlat) -> np.ndarray:
+    """Great-circle meters from each point (row) to each node (column).
+
+    Each element is computed by the same operations whatever the block it
+    sits in, so a block of candidate nodes gives the values a scan of every
+    node would.
+    """
     h = (
-        np.sin((rlat - plat) / 2) ** 2
-        + math.cos(plat) * np.cos(rlat) * np.sin((rlon - plon) / 2) ** 2
+        np.sin((rlat - plat[:, None]) / 2) ** 2
+        + cos_plat[:, None] * cos_rlat * np.sin((rlon - plon[:, None]) / 2) ** 2
     )
-    d = 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
-    # ids are sorted, so the first minimum breaks ties toward the smallest id
-    k = int(np.argmin(d))
-    return ids[k], float(d[k])
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(h))
+
+
+class _NodeGrid:
+    """The network's nodes bucketed in a lon/lat grid for nearest-node queries.
+
+    Nodes are numbered in ascending id order.  Queries are exact: a block of
+    cells is searched only once two lower bounds on the great-circle
+    distance, d >= R |dlat| and d >= 2R asin(c_min |sin(dlon / 2)|) with
+    c_min the least cos(lat) of the nodes and points involved, rule out
+    every node outside it.
+    """
+
+    def __init__(self, network: RoadNetwork):
+        self.ids = sorted(network.nodes)
+        self.rlon = np.radians([network.nodes[i].lon for i in self.ids])
+        self.rlat = np.radians([network.nodes[i].lat for i in self.ids])
+        self.cos_rlat = np.cos(self.rlat)
+        self.max_abs_lat = float(np.abs(self.rlat).max())
+        self.side = max(1, math.isqrt(len(self.ids) // _CELL_NODES))
+        self.lon0 = float(self.rlon.min())
+        self.lat0 = float(self.rlat.min())
+        self.dlon = (float(self.rlon.max()) - self.lon0) / self.side or 1.0
+        self.dlat = (float(self.rlat.max()) - self.lat0) / self.side or 1.0
+        self.cells: dict[tuple[int, int], list[int]] = {}
+        for k, cell in enumerate(zip(self._row(self.rlat), self._col(self.rlon))):
+            self.cells.setdefault(cell, []).append(k)
+
+    def _row(self, rlat) -> list[int]:
+        # monotone in rlat, so a latitude band maps onto a range of rows
+        rows = np.floor((np.asarray(rlat) - self.lat0) / self.dlat)
+        return np.clip(rows, 0, self.side - 1).astype(int).tolist()
+
+    def _col(self, rlon) -> list[int]:
+        cols = np.floor((np.asarray(rlon) - self.lon0) / self.dlon)
+        return np.clip(cols, 0, self.side - 1).astype(int).tolist()
+
+    def _nodes_in(self, rows, cols) -> np.ndarray:
+        """Node numbers, ascending, in a rectangle of cells (clipped to the grid)."""
+        nodes = [
+            k
+            for r in range(max(rows[0], 0), min(rows[1], self.side - 1) + 1)
+            for c in range(max(cols[0], 0), min(cols[1], self.side - 1) + 1)
+            for k in self.cells.get((r, c), ())
+        ]
+        return np.array(sorted(nodes), dtype=int)
+
+    def nearest(self, plon, plat, cos_plat) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest node number and its distance for each point (radians).
+
+        Ties go to the smallest node id.  Points are batched by the grid
+        cell they fall in (points outside the grid by the nearest edge
+        cell).
+        """
+        batches: dict[tuple[int, int], list[int]] = {}
+        for i, cell in enumerate(zip(self._row(plat), self._col(plon))):
+            batches.setdefault(cell, []).append(i)
+        best = np.zeros(len(plon), dtype=int)
+        dist = np.zeros(len(plon))
+        for (row, col), pts in batches.items():
+            g_lon, g_lat, g_cos = plon[pts], plat[pts], cos_plat[pts]
+            # an upper bound on every point's nearest distance, from their
+            # cell or else the first ring of cells around it that holds a node
+            ring = 0
+            while not (near := self._nodes_in((row - ring, row + ring),
+                                              (col - ring, col + ring))).size:
+                ring += 1
+            reach = _haversine_m(g_lon, g_lat, g_cos, self.rlon[near],
+                                 self.rlat[near], self.cos_rlat[near]).min(axis=1).max()
+            reach = reach * (1 + _SNAP_RTOL) + _SNAP_ATOL_M
+            half_lat = reach / EARTH_RADIUS_M
+            rows = self._row([g_lat.min() - half_lat, g_lat.max() + half_lat])
+            c_min = math.cos(max(self.max_abs_lat, float(np.abs(g_lat).max())))
+            s = math.sin(min(reach / (2 * EARTH_RADIUS_M), math.pi / 2)) / c_min
+            cols = [0, self.side - 1]
+            if s < 1.0:
+                half_lon = 2 * math.asin(s)
+                lon_lo, lon_hi = g_lon.min() - half_lon, g_lon.max() + half_lon
+                # a band across the antimeridian keeps every column
+                if -math.pi < lon_lo and lon_hi < math.pi:
+                    cols = self._col([lon_lo, lon_hi])
+            cand = self._nodes_in(rows, cols)
+            d = _haversine_m(g_lon, g_lat, g_cos, self.rlon[cand],
+                             self.rlat[cand], self.cos_rlat[cand])
+            # candidates ascend by id, so the first minimum is the smallest id
+            best[pts] = cand[d.argmin(axis=1)]
+            dist[pts] = d.min(axis=1)
+        return best, dist
+
+
+def _snap_points(points, network: RoadNetwork, warn_threshold_m: float,
+                 stacklevel: int) -> list[tuple[str, float]]:
+    """Nearest node id and snap-leg meters of each point, in order.
+
+    Warns once per point whose leg exceeds ``warn_threshold_m``;
+    ``stacklevel`` is counted from this function.
+    """
+    if not network.nodes:
+        raise ValidationError("cannot snap to an empty network")
+    grid = _NodeGrid(network)
+    # the point side of the formula in scalar math, as a scan of every node had it
+    plon = np.array([math.radians(p.lon) for p in points], dtype=float)
+    plat = np.array([math.radians(p.lat) for p in points], dtype=float)
+    cos_plat = np.array([math.cos(x) for x in plat], dtype=float)
+    best, dist = grid.nearest(plon, plat, cos_plat)
+    snaps = []
+    for point, k, leg in zip(points, best, dist):
+        nid, leg = grid.ids[k], float(leg)
+        if leg > warn_threshold_m:
+            warnings.warn(
+                f"point ({point.lon}, {point.lat}) snapped to node '{nid}' "
+                f"{leg:.0f} m away (threshold {warn_threshold_m:.0f} m)",
+                SnapDistanceWarning,
+                stacklevel=stacklevel,
+            )
+        snaps.append((nid, leg))
+    return snaps
 
 
 def snap_to_network(
@@ -68,17 +191,7 @@ def snap_to_network(
     warn_threshold_m: float = DEFAULT_SNAP_WARN_M,
 ) -> str:
     """Nearest network node by great-circle distance (ties: smallest node id)."""
-    if not network.nodes:
-        raise ValidationError("cannot snap to an empty network")
-    nid, dist = _nearest_node(point, *_node_arrays(network))
-    if dist > warn_threshold_m:
-        warnings.warn(
-            f"point ({point.lon}, {point.lat}) snapped to node '{nid}' "
-            f"{dist:.0f} m away (threshold {warn_threshold_m:.0f} m)",
-            SnapDistanceWarning,
-            stacklevel=2,
-        )
-    return nid
+    return _snap_points([point], network, warn_threshold_m, stacklevel=3)[0][0]
 
 
 def _adjacency(network: RoadNetwork) -> dict[str, list[tuple[str, float]]]:
@@ -90,11 +203,21 @@ def _adjacency(network: RoadNetwork) -> dict[str, list[tuple[str, float]]]:
     return adj
 
 
-def _dijkstra(adj, source: str) -> dict[str, float]:
+def _dijkstra(adj, source: str, limit_m: float = UNREACHABLE) -> dict[str, float]:
+    """Shortest distances from ``source`` to every node within ``limit_m``.
+
+    The search stops at the first heap entry farther than ``limit_m``.
+    Edge lengths are > 0, so every node within the limit is settled by
+    then, by the same operations and so with the same value as in a full
+    search.  Only settled nodes are returned.
+    """
     dist = {source: 0.0}
     heap = [(0.0, source)]
     while heap:
         d, u = heapq.heappop(heap)
+        if d > limit_m:
+            # every entry still queued is farther: none of them is settled
+            return {v: dv for v, dv in dist.items() if dv <= limit_m}
         if d > dist.get(u, UNREACHABLE):
             continue
         for v, w in adj[u]:
@@ -155,6 +278,33 @@ class TravelTimeMatrix:
                                     self.site_index[site_id]])
 
 
+def _distances(scenario: Scenario, limit_m: float, include_snap_distance: bool,
+               snap_warn_m: float) -> np.ndarray:
+    """Demand x site walk meters, ``inf`` beyond ``limit_m`` (before the legs)."""
+    if not scenario.network.nodes:
+        raise ValidationError("scenario network has no nodes")
+    n_demands = len(scenario.demands)
+    snaps = _snap_points(
+        [d.location for d in scenario.demands] + [s.location for s in scenario.sites],
+        scenario.network, snap_warn_m, stacklevel=4,
+    )
+    demand_snaps, site_snaps = snaps[:n_demands], snaps[n_demands:]
+    rows_at: dict[str, list[int]] = {}
+    for i, (demand_node, _) in enumerate(demand_snaps):
+        rows_at.setdefault(demand_node, []).append(i)
+
+    adj = _adjacency(scenario.network)
+    dist = np.full((n_demands, len(scenario.sites)), UNREACHABLE)
+    for j, (site_node, site_leg) in enumerate(site_snaps):
+        for node, base in _dijkstra(adj, site_node, limit_m).items():
+            for i in rows_at.get(node, ()):
+                if include_snap_distance:
+                    dist[i, j] = base + demand_snaps[i][1] + site_leg
+                else:
+                    dist[i, j] = base
+    return dist
+
+
 def distance_matrix_m(
     scenario: Scenario,
     *,
@@ -163,40 +313,18 @@ def distance_matrix_m(
 ) -> np.ndarray:
     """Network walk distance in meters between every demand point and site.
 
-    One shortest-path run per site, from its snapped node.  By default the
-    snap legs (point to nearest node) are not counted; with
-    ``include_snap_distance`` both legs are added to every pair.
+    One shortest-path search per site, from its snapped node.  Each search
+    stops at the largest ``max_walk_m`` of ``scenario.groups``, so a pair
+    is ``inf`` when its network distance exceeds that limit, as well as
+    when no path joins it.  Every group's travel-time matrix is cut at its
+    own ``max_walk_m`` anyway, so the cut changes none of them.  By default
+    the snap legs (point to nearest node) are not counted; with
+    ``include_snap_distance`` both legs are added to every pair within the
+    limit.  Legs are >= 0, so a pair within a group's limit with its legs
+    is within it without them, and the search is cut at the same limit.
     """
-    if not scenario.network.nodes:
-        raise ValidationError("scenario network has no nodes")
-    arrays = _node_arrays(scenario.network)
-    adj = _adjacency(scenario.network)
-
-    def snap(point: Coordinate) -> tuple[str, float]:
-        nid, dist = _nearest_node(point, *arrays)
-        if dist > snap_warn_m:
-            warnings.warn(
-                f"point ({point.lon}, {point.lat}) snapped to node '{nid}' "
-                f"{dist:.0f} m away (threshold {snap_warn_m:.0f} m)",
-                SnapDistanceWarning,
-                stacklevel=3,
-            )
-        return nid, dist
-
-    demand_snaps = [snap(d.location) for d in scenario.demands]
-    site_snaps = [snap(s.location) for s in scenario.sites]
-
-    dist = np.full((len(scenario.demands), len(scenario.sites)), UNREACHABLE)
-    for j, (site_node, site_leg) in enumerate(site_snaps):
-        reach = _dijkstra(adj, site_node)
-        for i, (demand_node, demand_leg) in enumerate(demand_snaps):
-            base = reach.get(demand_node)
-            if base is None:
-                continue
-            if include_snap_distance:
-                base = base + demand_leg + site_leg
-            dist[i, j] = base
-    return dist
+    limit_m = max(g.max_walk_m for g in scenario.groups)
+    return _distances(scenario, limit_m, include_snap_distance, snap_warn_m)
 
 
 def build_travel_time_matrix(
@@ -211,14 +339,13 @@ def build_travel_time_matrix(
 
     Pairs farther apart than the group's maximum walk distance are
     ``UNREACHABLE``.  Pass ``dist_m`` to reuse one distance computation
-    across groups.
+    across groups; one from ``distance_matrix_m`` is ``inf`` beyond the
+    largest walk limit of ``scenario.groups``, so it serves only groups
+    within that limit.
     """
     if dist_m is None:
-        dist_m = distance_matrix_m(
-            scenario,
-            include_snap_distance=include_snap_distance,
-            snap_warn_m=snap_warn_m,
-        )
+        limit_m = max(g.max_walk_m for g in (*scenario.groups, group))
+        dist_m = _distances(scenario, limit_m, include_snap_distance, snap_warn_m)
     times = np.where(
         dist_m <= group.max_walk_m,
         dist_m / group.walk_speed_m_per_min,

@@ -227,3 +227,71 @@ class TestNonFiniteInput:
     def test_json_writer_refuses_nan(self, tmp_path):
         with pytest.raises(ValueError):
             _write_json(tmp_path / "x.json", {"objective": float("nan")})
+
+    def test_edge_length_names_file_and_line(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        cfg = synth_small(bundle)
+        lines = (bundle / "edges.csv").read_text().splitlines()
+        from_id, to_id, _, bidi = lines[4].split(",")
+        lines[4] = f"{from_id},{to_id},inf,{bidi}"
+        (bundle / "edges.csv").write_text("\n".join(lines) + "\n")
+        code = main(["score", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{bundle / 'edges.csv'}:5:" in err
+        assert "length_m must be finite" in err
+
+    @pytest.mark.parametrize("spec,message", [
+        ("general:inf:700", "walk speed must be finite"),
+        ("general:80:inf", "max walk distance must be finite"),
+    ])
+    def test_group_spec(self, tmp_path, capsys, spec, message):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "o"
+        code = main(["score", "--config", str(cfg), "--out", str(out), "--groups", spec])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bins_in_config_name_file_and_line(self, tmp_path, capsys, value):
+        cfg = synth_small(tmp_path / "bundle")
+        text = cfg.read_text()
+        cfg.write_text(text + f"bins = 0,{value},0.2\n")
+        lineno = len(text.splitlines()) + 1
+        code = main(["score", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lineno}:" in err
+        assert "bins must be finite" in err
+
+    def test_bins_flag(self, tmp_path, capsys):
+        cfg = synth_small(tmp_path / "bundle")
+        code = main(["score", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--bins", "0,0.1,inf"])
+        assert code == 2
+        assert "bins must be finite" in capsys.readouterr().err
+
+
+class TestZeroTarget:
+    """a_sigma = 0 is a valid target, but the default bins are anchored on it."""
+
+    @pytest.mark.parametrize("command", ["score", "solve", "oracle"])
+    def test_default_bins_need_explicit_bins(self, tmp_path, capsys, command):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg), "--out", str(out),
+                     "--a-sigma", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "a_sigma" in err and "explicit bins" in err
+        assert "strictly increasing" not in err
+        assert not out.exists()
+
+    def test_explicit_bins_accept_zero_target(self, tmp_path):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "o"
+        code = main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--a-sigma", "0", "--bins", "0,0.1"])
+        assert code == 0
+        assert json.loads((out / "result.json").read_text())["feasible"]
