@@ -10,6 +10,13 @@ the same kernel
 
 which falls from 1 at t = 0 to exactly 0 at the threshold t_sigma and is 0
 beyond it.
+
+One ``_Catchment`` per group computes the site ratios and ``W = weights *
+ratios`` once; a score is ``gamma * W[:, open].sum(axis=1)`` over the open
+columns in ascending order.  Scoring, the conservation check and the search
+all read it, so they agree to the bit.  ``W`` stays dense on purpose: numpy
+sums a row pairwise, so a sum of only its non-zero entries would round
+differently and change the published scores.
 """
 
 from __future__ import annotations
@@ -60,68 +67,6 @@ def gaussian_decay(t: float, params: DecayParams) -> float:
     return float(decay_weights(np.array([t], dtype=float), params.t_sigma_min)[0])
 
 
-def population_vector(demands: Sequence[DemandPoint], group: str) -> np.ndarray:
-    return np.array([d.pop_of(group) for d in demands], dtype=float)
-
-
-def _check_alignment(matrix: TravelTimeMatrix, scenario: Scenario) -> None:
-    if matrix.demand_order != scenario.demand_ids:
-        raise ValidationError("matrix demand order does not match the scenario")
-    if matrix.site_order != scenario.site_ids:
-        raise ValidationError("matrix site order does not match the scenario")
-
-
-class SupplyDemandRatio(NamedTuple):
-    ratio: float
-    idle: bool
-
-
-def supply_demand_ratio(
-    site: FacilitySite,
-    matrix: TravelTimeMatrix,
-    demands: Sequence[DemandPoint],
-    params: DecayParams | None = None,
-) -> SupplyDemandRatio:
-    """Capacity per decay-weighted person within one site's catchment.
-
-    A site with no weighted demand in reach is idle and gets ratio 0 instead
-    of a division by zero.
-    """
-    j = matrix.site_index.get(site.site_id)
-    if j is None:
-        raise ValidationError(f"matrix does not cover site '{site.site_id}'")
-    t_sigma = params.t_sigma_min if params is not None else matrix.group.t_sigma_min
-    weights = decay_weights(matrix.times_min[:, j], t_sigma)
-    denom = float((weights * population_vector(demands, matrix.group.name)).sum())
-    if denom > 0.0:
-        return SupplyDemandRatio(site.capacity / denom, False)
-    return SupplyDemandRatio(0.0, True)
-
-
-def supply_demand_ratios(
-    matrix: TravelTimeMatrix,
-    demands: Sequence[DemandPoint],
-    sites: Sequence[FacilitySite],
-) -> np.ndarray:
-    """Ratio for every site in matrix column order; idle sites get 0."""
-    if tuple(d.demand_id for d in demands) != matrix.demand_order:
-        raise ValidationError("demand order does not match the matrix")
-    if tuple(s.site_id for s in sites) != matrix.site_order:
-        raise ValidationError("site order does not match the matrix")
-    weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-    return _ratios(weights, population_vector(demands, matrix.group.name), sites)
-
-
-def _ratios(weights: np.ndarray, pop: np.ndarray,
-            sites: Sequence[FacilitySite]) -> np.ndarray:
-    """Site ratios from the dense decay weights; the caller checks the order."""
-    denom = (weights * pop[:, None]).sum(axis=0)
-    supply = np.array([s.capacity for s in sites], dtype=float)
-    ratios = np.zeros_like(denom)
-    np.divide(supply, denom, out=ratios, where=denom > 0.0)
-    return ratios
-
-
 @dataclass(frozen=True)
 class AccessibilityField:
     """Accessibility score of every demand point for one group."""
@@ -139,6 +84,71 @@ class AccessibilityField:
         return np.array(list(self.scores.values()), dtype=float)
 
 
+class SupplyDemandRatio(NamedTuple):
+    ratio: float
+    idle: bool
+
+
+class _Catchment:
+    """One group's site ratios and decay-weighted ratios ``W`` (demand x site).
+
+    The matrix rows and columns must follow the demand and site order.  An
+    idle site, with no weighted demand in reach, gets ratio 0.
+    """
+
+    def __init__(self, matrix: TravelTimeMatrix, demands: Sequence[DemandPoint],
+                 sites: Sequence[FacilitySite]):
+        if tuple(d.demand_id for d in demands) != matrix.demand_order:
+            raise ValidationError("demand order does not match the matrix")
+        if tuple(s.site_id for s in sites) != matrix.site_order:
+            raise ValidationError("site order does not match the matrix")
+        self.group = matrix.group.name
+        self.demand_ids = matrix.demand_order
+        self.pop = np.array([d.pop_of(self.group) for d in demands], dtype=float)
+        weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
+        denom = (weights * self.pop[:, None]).sum(axis=0)
+        supply = np.array([s.capacity for s in sites], dtype=float)
+        self.ratios = np.zeros_like(denom)
+        np.divide(supply, denom, out=self.ratios, where=denom > 0.0)
+        self.W = weights * self.ratios[None, :]
+
+    def field(self, open_idx: Sequence[int], gamma: float) -> np.ndarray:
+        """Score of every demand point; ``open_idx`` must be ascending."""
+        return gamma * self.W[:, open_idx].sum(axis=1)
+
+    def scores(self, open_idx: Sequence[int], gamma: float) -> AccessibilityField:
+        scores = dict(zip(self.demand_ids, self.field(open_idx, gamma).tolist()))
+        return AccessibilityField(self.group, scores, gamma)
+
+
+def supply_demand_ratio(
+    site: FacilitySite,
+    matrix: TravelTimeMatrix,
+    demands: Sequence[DemandPoint],
+) -> SupplyDemandRatio:
+    """Capacity per decay-weighted person within one site's catchment.
+
+    A site with no weighted demand in reach is idle and gets ratio 0 instead
+    of a division by zero.
+    """
+    j = matrix.site_index.get(site.site_id)
+    if j is None:
+        raise ValidationError(f"matrix does not cover site '{site.site_id}'")
+    column = TravelTimeMatrix(matrix.group, matrix.times_min[:, [j]],
+                              matrix.demand_order, (site.site_id,))
+    ratio = float(_Catchment(column, demands, (site,)).ratios[0])
+    return SupplyDemandRatio(ratio, ratio == 0.0)
+
+
+def supply_demand_ratios(
+    matrix: TravelTimeMatrix,
+    demands: Sequence[DemandPoint],
+    sites: Sequence[FacilitySite],
+) -> np.ndarray:
+    """Ratio for every site in matrix column order; idle sites get 0."""
+    return _Catchment(matrix, demands, sites).ratios
+
+
 def accessibility_scores(
     scenario: Scenario,
     matrix: TravelTimeMatrix,
@@ -151,25 +161,14 @@ def accessibility_scores(
     kernel weight times that site's supply-to-demand ratio.  Demand with no
     reachable open site scores 0.
     """
-    _check_alignment(matrix, scenario)
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ValidationError(f"gamma must be finite and > 0, got {gamma!r}")
     open_set = set(open_sites)
     unknown = sorted(open_set - set(scenario.site_ids))
     if unknown:
         raise ValidationError(f"unknown site id(s) in open set: {', '.join(unknown)}")
-
-    weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-    ratios = _ratios(weights, population_vector(scenario.demands, matrix.group.name),
-                     scenario.sites)
-    contributions = weights * ratios[None, :]
     open_idx = [j for j, sid in enumerate(matrix.site_order) if sid in open_set]
-    if open_idx:
-        totals = gamma * contributions[:, open_idx].sum(axis=1)
-    else:
-        totals = np.zeros(len(matrix.demand_order))
-    scores = {did: float(totals[i]) for i, did in enumerate(matrix.demand_order)}
-    return AccessibilityField(matrix.group.name, scores, gamma)
+    return _Catchment(matrix, scenario.demands, scenario.sites).scores(open_idx, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +222,8 @@ def _check_bins(bins) -> tuple[tuple[str, ...], tuple[float, ...]]:
     if not spec:
         raise ValidationError("bin spec must not be empty")
     bounds = tuple(lower for _, lower in spec)
+    if not all(map(math.isfinite, bounds)):
+        raise ValidationError(f"bin lower bounds must be finite, got {bounds!r}")
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValidationError("bin lower bounds must be strictly increasing")
     if bounds[0] > 0:
@@ -274,16 +275,14 @@ def conservation_check(
     """
     if field.gamma != 1.0:
         raise ValidationError("conservation identity requires gamma = 1")
-    _check_alignment(matrix, scenario)
     open_set = set(open_sites)
-    ratios = supply_demand_ratios(matrix, scenario.demands, scenario.sites)
+    catchment = _Catchment(matrix, scenario.demands, scenario.sites)
     supply = sum(
         s.capacity
         for j, s in enumerate(scenario.sites)
-        if s.site_id in open_set and ratios[j] > 0.0
+        if s.site_id in open_set and catchment.ratios[j] > 0.0
     )
     if supply <= 0.0:
         return 0.0
-    pop = population_vector(scenario.demands, field.group)
-    served = float(np.sum(pop * field.vector()))
+    served = float(np.sum(catchment.pop * field.vector()))
     return abs(served - supply) / supply

@@ -42,6 +42,7 @@ from .optimizer import (
     CandidatePoolError,
     ObjectiveParams,
     OptimizationResult,
+    check_max_pool,
     exhaustive_oracle,
     optimize,
 )
@@ -434,6 +435,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
+    check_max_pool(cfg.max_pool)
     scenario = _load(cfg)
     matrices = _matrices(scenario, cfg)
     out = Path(cfg.out)

@@ -32,18 +32,21 @@ import numpy as np
 from .accessibility import (
     AccessibilityField,
     CoverageReport,
-    accessibility_scores,
+    _Catchment,
+    # the next three are not called here; perfbench/tracer.py wraps them here
+    accessibility_scores,  # noqa: F401
     coverage_report,
-    decay_weights,
+    decay_weights,  # noqa: F401
     default_bins,
-    population_vector,
-    supply_demand_ratios,
+    supply_demand_ratios,  # noqa: F401
 )
 from .geodata import Scenario, ValidationError
 
 FEASIBILITY_TOL = 1e-9
 IMPROVEMENT_TOL = 1e-12
 DEFAULT_MAX_POOL = 15
+# the oracle scores ~20k layouts a second, so 2**24 of them take ~15 min
+MAX_POOL_CEILING = 24
 DEFAULT_BUDGET = 1000
 
 _EPS = float(np.finfo(float).eps)
@@ -119,6 +122,12 @@ class OptimizationResult:
             raise ValidationError("feasible flag contradicts the shortfall list")
 
 
+def check_max_pool(max_pool: int) -> None:
+    if max_pool > MAX_POOL_CEILING:
+        raise ValidationError(f"max_pool {max_pool} exceeds the ceiling of "
+                              f"{MAX_POOL_CEILING} candidate sites")
+
+
 def _check_layout(layout: Layout, scenario: Scenario) -> None:
     bad = sorted(layout.open_candidates - set(scenario.candidate_site_ids))
     if bad:
@@ -127,38 +136,34 @@ def _check_layout(layout: Layout, scenario: Scenario) -> None:
         )
 
 
+def _catchment(scenario: Scenario, matrices, name: str) -> _Catchment:
+    matrix = matrices.get(name)
+    if matrix is None:
+        raise ValidationError(f"missing travel-time matrix for group '{name}'")
+    return _Catchment(matrix, scenario.demands, scenario.sites)
+
+
 class _Evaluator:
-    """Caches per-group decay-weighted ratio columns for fast layout scoring.
+    """Scores layouts from the ``_Catchment`` of each primary or constraint group.
 
     The score of demand i under an open set S is the (gamma-scaled) sum of
-    column i-entries of W over the open columns, with W = weights * ratios;
-    ratios depend only on the site itself, so W never changes during the
-    search.  Columns are always summed in ascending site-index order, which
-    keeps every evaluation bit-reproducible: ``evaluate`` is the canonical
-    value on which every search decision is made.  ``_MoveBlock`` screens
-    moves from fields that are not summed canonically, within the rounding
-    bounds ``field_tol`` and ``sum_tol`` set here.
+    row i of the catchment's W over the open columns; W never changes during
+    the search.  The catchment sums them densely in ascending site order, as
+    ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible: it
+    is the canonical value on which every search decision is made.
+    ``_MoveBlock`` screens moves from fields that are not summed
+    canonically, within the rounding bounds ``field_tol`` and ``sum_tol``.
     """
 
     def __init__(self, scenario: Scenario, matrices, params: ObjectiveParams):
         self.scenario = scenario
         self.params = params
         needed = dict.fromkeys((params.primary_group, *params.constraint_groups))
-        self.contrib: dict[str, np.ndarray] = {}
-        self.pos_mask: dict[str, np.ndarray] = {}
+        self.catchments: dict[str, _Catchment] = {}
         for name in needed:
             scenario.group_named(name)
-            matrix = matrices.get(name)
-            if matrix is None:
-                raise ValidationError(f"missing travel-time matrix for group '{name}'")
-            if matrix.demand_order != scenario.demand_ids or (
-                matrix.site_order != scenario.site_ids
-            ):
-                raise ValidationError("matrix order does not match the scenario")
-            weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-            ratios = supply_demand_ratios(matrix, scenario.demands, scenario.sites)
-            self.contrib[name] = weights * ratios[None, :]
-            self.pos_mask[name] = population_vector(scenario.demands, name) > 0
+            self.catchments[name] = _catchment(scenario, matrices, name)
+        self.pos_mask = {g: c.pop > 0 for g, c in self.catchments.items()}
         self.site_index = {sid: j for j, sid in enumerate(scenario.site_ids)}
         self.existing_idx = [
             j for j, s in enumerate(scenario.sites) if s.existing
@@ -166,7 +171,7 @@ class _Evaluator:
         self.candidate_ids = tuple(sorted(scenario.candidate_site_ids))
         self.n_demands = len(scenario.demands)
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
-        self.sum_tol = 2 * (self.n_demands + len(self.contrib) + 16) * _EPS
+        self.sum_tol = 2 * (self.n_demands + len(self.catchments) + 16) * _EPS
 
     def open_indices(self, open_candidates) -> list[int]:
         idx = list(self.existing_idx)
@@ -174,18 +179,14 @@ class _Evaluator:
         idx.sort()
         return idx
 
-    def field_vector(self, group: str, open_idx) -> np.ndarray:
-        if not open_idx:
-            return np.zeros(self.n_demands)
-        return self.params.gamma * self.contrib[group][:, open_idx].sum(axis=1)
-
     def fields(self, open_candidates) -> dict[str, np.ndarray]:
         open_idx = self.open_indices(open_candidates)
-        return {g: self.field_vector(g, open_idx) for g in self.contrib}
+        return {g: c.field(open_idx, self.params.gamma)
+                for g, c in self.catchments.items()}
 
     def columns(self, group: str, site_ids) -> np.ndarray:
         """gamma * W for these sites, one column each (D x len(site_ids))."""
-        return self.params.gamma * self.contrib[group][
+        return self.params.gamma * self.catchments[group].W[
             :, [self.site_index[s] for s in site_ids]
         ]
 
@@ -214,14 +215,14 @@ class _Evaluator:
 
     def shortfalls(self, open_candidates) -> tuple[Shortfall, ...]:
         p = self.params
-        open_idx = self.open_indices(open_candidates)
-        out = []
-        for g in p.constraint_groups:
-            scores = self.field_vector(g, open_idx)
-            for i, did in enumerate(self.scenario.demand_ids):
-                if self.pos_mask[g][i] and scores[i] < p.a_sigma - FEASIBILITY_TOL:
-                    out.append(Shortfall(did, g, float(scores[i])))
-        return tuple(out)
+        fields = self.fields(open_candidates)
+        ids = self.scenario.demand_ids
+        floor = p.a_sigma - FEASIBILITY_TOL
+        return tuple(
+            Shortfall(ids[i], g, float(fields[g][i]))
+            for g in p.constraint_groups
+            for i in np.flatnonzero(self.pos_mask[g] & (fields[g] < floor))
+        )
 
 
 class _MoveBlock:
@@ -454,21 +455,17 @@ def _assemble_result(
 ) -> OptimizationResult:
     scenario, params = ev.scenario, ev.params
     layout = Layout(frozenset(open_ids))
-    objective = ev.objective(layout.open_candidates)
     shortfalls = ev.shortfalls(layout.open_candidates)
-    open_full = set(scenario.existing_site_ids) | set(layout.open_candidates)
+    open_idx = ev.open_indices(layout.open_candidates)
     bin_spec = default_bins(params.a_sigma) if bins is None else bins
-    fields: dict[str, AccessibilityField] = {}
-    coverage: dict[str, CoverageReport] = {}
+    fields, coverage = {}, {}
     for g in scenario.groups:
-        if g.name not in matrices:
-            raise ValidationError(f"missing travel-time matrix for group '{g.name}'")
-        field = accessibility_scores(scenario, matrices[g.name], open_full, params.gamma)
-        fields[g.name] = field
+        catchment = ev.catchments.get(g.name) or _catchment(scenario, matrices, g.name)
+        fields[g.name] = field = catchment.scores(open_idx, params.gamma)
         coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
     return OptimizationResult(
         layout=layout,
-        objective=objective,
+        objective=ev.objective(layout.open_candidates),
         feasible=not shortfalls,
         per_group_fields=fields,
         coverage=coverage,
@@ -512,6 +509,7 @@ def exhaustive_oracle(
     lexicographically smallest id set).  If no subset is feasible, returns
     the subset with the smallest total shortfall, marked infeasible.
     """
+    check_max_pool(max_pool)
     ev = _Evaluator(scenario, matrices, params)
     pool = len(ev.candidate_ids)
     if pool > max_pool:

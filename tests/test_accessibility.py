@@ -15,6 +15,7 @@ from accessopt.accessibility import (
     supply_demand_ratios,
 )
 from accessopt.geodata import ValidationError
+from accessopt.optimizer import ObjectiveParams, exhaustive_oracle, optimize
 from accessopt.routing import build_travel_time_matrices
 
 from conftest import ELDERLY, GENERAL, random_scenario, table_scenario
@@ -337,3 +338,27 @@ class TestCoverage:
             "very-low", "low", "medium", "high", "very-high",
         ]
         assert [lower for _, lower in spec] == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4]
+
+
+class TestNonFiniteBins:
+    """A NaN or infinite bound is refused, not turned into a bin no score fits."""
+
+    @pytest.mark.parametrize("bins", [
+        (("a", 0.0), ("b", math.nan), ("c", 1.0)),
+        (("a", math.nan),),
+        (("a", -math.inf), ("b", 0.1)),
+        (("a", 0.0), ("b", math.inf)),
+    ])
+    @pytest.mark.parametrize("entry", ["coverage_report", "optimize", "exhaustive_oracle"])
+    def test_rejected(self, bins, entry):
+        sc, mats = worked_example()
+        params = ObjectiveParams(primary_group="elderly", constraint_groups=("elderly",))
+        calls = {
+            "coverage_report": lambda: coverage_report(
+                accessibility_scores(sc, mats["elderly"], set(sc.site_ids)),
+                sc.demands, bins),
+            "optimize": lambda: optimize(sc, mats, params, bins=bins),
+            "exhaustive_oracle": lambda: exhaustive_oracle(sc, mats, params, bins=bins),
+        }
+        with pytest.raises(ValidationError, match="finite"):
+            calls[entry]()

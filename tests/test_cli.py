@@ -4,6 +4,7 @@ import pytest
 
 from accessopt.cli import _write_json, build_config, main, parse_groups, read_config_file
 from accessopt.geodata import ValidationError
+from accessopt.optimizer import MAX_POOL_CEILING
 
 SMALL_SYNTH = [
     "synth", "--grid-rows", "8", "--grid-cols", "8", "--n-existing", "3",
@@ -175,6 +176,14 @@ class TestOracleCommand:
                      "--out", str(out), "--max-pool", "5"])
         assert code == 4
         assert "error" in capsys.readouterr().err
+
+    def test_max_pool_above_ceiling_exits_2_before_loading(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["oracle", "--bundle", str(tmp_path / "missing"), "--out", str(out),
+                     "--max-pool", str(MAX_POOL_CEILING + 1)])
+        assert code == 2
+        assert f"ceiling of {MAX_POOL_CEILING}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_ratio_printed_against_heuristic(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"

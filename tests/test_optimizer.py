@@ -8,6 +8,7 @@ import pytest
 from accessopt.accessibility import accessibility_scores
 from accessopt.geodata import ValidationError, generate_synthetic_scenario
 from accessopt.optimizer import (
+    MAX_POOL_CEILING,
     CandidatePoolError,
     Layout,
     ObjectiveParams,
@@ -271,6 +272,11 @@ class TestOracle:
         mats = build_travel_time_matrices(sc)
         with pytest.raises(CandidatePoolError):
             exhaustive_oracle(sc, mats, params(), max_pool=5)
+
+    def test_max_pool_above_ceiling_refused(self):
+        sc, mats = spot_instance(1000.0, 1000.0)
+        with pytest.raises(ValidationError, match=f"ceiling of {MAX_POOL_CEILING}"):
+            exhaustive_oracle(sc, mats, params(), max_pool=MAX_POOL_CEILING + 1)
 
     def test_infeasible_pool_reports_min_shortfall(self):
         inf = math.inf
