@@ -12,11 +12,12 @@ which falls from 1 at t = 0 to exactly 0 at the threshold t_sigma and is 0
 beyond it.
 
 One ``_Catchment`` per group computes the site ratios and ``W = weights *
-ratios`` once; a score is ``gamma * W[:, open].sum(axis=1)`` over the open
-columns in ascending order.  Scoring, the conservation check and the search
-all read it, so they agree to the bit.  ``W`` stays dense on purpose: numpy
-sums a row pairwise, so a sum of only its non-zero entries would round
-differently and change the published scores.
+ratios`` once; a score is ``gamma * W[:, open].sum(axis=-1)`` over the open
+columns in ascending order, for one layout or a block of equal-size ones.
+Scoring, the conservation check and the search all read it, so they agree
+to the bit.  The gathered columns are added one after another, left to
+right, not pairwise; any other order, such as a pairwise sum of a row's
+non-zero entries, would round differently and change the published scores.
 """
 
 from __future__ import annotations
@@ -112,9 +113,17 @@ class _Catchment:
         np.divide(supply, denom, out=self.ratios, where=denom > 0.0)
         self.W = weights * self.ratios[None, :]
 
-    def field(self, open_idx: Sequence[int], gamma: float) -> np.ndarray:
-        """Score of every demand point; ``open_idx`` must be ascending."""
-        return gamma * self.W[:, open_idx].sum(axis=1)
+    def field(self, open_idx, gamma: float) -> np.ndarray:
+        """Score of every demand point under one layout or a block of them.
+
+        ``open_idx`` is one layout's ascending column indices, giving a
+        (demand,) vector, or a (B, k) integer array of B layouts, each row
+        ascending, giving (demand, B).  Either way the gather lays each
+        layout's k columns out as whole demand vectors, and numpy adds them
+        one after another in ascending column order, so a layout scored in
+        a block has the bits it has scored alone.
+        """
+        return gamma * self.W[:, open_idx].sum(axis=-1)
 
     def scores(self, open_idx: Sequence[int], gamma: float) -> AccessibilityField:
         scores = dict(zip(self.demand_ids, self.field(open_idx, gamma).tolist()))

@@ -134,7 +134,10 @@ def _convert(key: str, raw: str):
     if kind.startswith("int"):
         return int(raw)
     if kind.startswith("float"):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {raw.strip()!r}")
+        return value
     return raw
 
 

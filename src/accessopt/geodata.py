@@ -332,9 +332,12 @@ def parse_network(nodes_path, edges_path) -> RoadNetwork:
                     f"blank, got {raw_bidi!r}"
                 )
             length = _parse_float(row["length_m"], edges_path, line, "length_m")
+            ends = ((row["from_id"] or "").strip(), (row["to_id"] or "").strip())
+            for nid in ends:
+                if nid not in nodes:
+                    raise ValidationError(f"{edges_path}:{line}: unknown node '{nid}'")
             try:
-                edges.append(Edge((row["from_id"] or "").strip(),
-                                  (row["to_id"] or "").strip(), length, bidi))
+                edges.append(Edge(*ends, length, bidi))
             except ValidationError as exc:
                 raise _located(exc, edges_path, line) from None
 

@@ -22,6 +22,7 @@ objectives, at the cost of a few canonical evaluations per step.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from .accessibility import (
     AccessibilityField,
     CoverageReport,
     _Catchment,
+    _check_bins,
     # the next three are not called here; perfbench/tracer.py wraps them here
     accessibility_scores,  # noqa: F401
     coverage_report,
@@ -45,8 +47,12 @@ from .geodata import Scenario, ValidationError
 FEASIBILITY_TOL = 1e-9
 IMPROVEMENT_TOL = 1e-12
 DEFAULT_MAX_POOL = 15
-# the oracle scores ~20k layouts a second, so 2**24 of them take ~15 min
+# the oracle scores ~150k layouts a second on a 144-point city (2 CPUs,
+# numpy 2.4), so 2**24 of them take ~2 min
 MAX_POOL_CEILING = 24
+# bytes of W one block of oracle layouts gathers (demand x layout x open
+# site); it bounds the oracle's working set, whatever the pool
+ORACLE_BLOCK_BYTES = 512 * 1024
 DEFAULT_BUDGET = 1000
 
 _EPS = float(np.finfo(float).eps)
@@ -148,9 +154,11 @@ class _Evaluator:
 
     The score of demand i under an open set S is the (gamma-scaled) sum of
     row i of the catchment's W over the open columns; W never changes during
-    the search.  The catchment sums them densely in ascending site order, as
-    ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible: it
-    is the canonical value on which every search decision is made.
+    the search.  The catchment adds the open columns in ascending site
+    order, as ``accessibility_scores`` does, so ``evaluate`` is
+    bit-reproducible: it is the canonical value on which every search
+    decision is made, and ``evaluate_block`` gives each of a block of
+    layouts the same bits.
     ``_MoveBlock`` screens moves from fields that are not summed
     canonically, within the rounding bounds ``field_tol`` and ``sum_tol``.
     """
@@ -190,22 +198,38 @@ class _Evaluator:
             :, [self.site_index[s] for s in site_ids]
         ]
 
-    def evaluate(self, open_candidates) -> tuple[float, bool, float]:
-        """(objective, feasible, total squared shortfall) for one layout."""
+    def evaluate_block(self, open_idx: np.ndarray):
+        """(objective, feasible, total squared shortfall) arrays for B layouts.
+
+        ``open_idx`` is a (B, n) integer array: each row one layout's open
+        site columns in ascending order, the existing sites included, so
+        every layout opens n - len(existing_idx) candidates.  Every sum
+        over demand points runs along the last axis of a C-contiguous
+        (B, D) or (B, P) array: numpy sums such a row pairwise, exactly as
+        it sums one layout's vector, so each row has the bits of the layout
+        scored alone.
+        """
         p = self.params
-        fields = self.fields(open_candidates)
+        fields = {g: np.ascontiguousarray(c.field(open_idx, p.gamma).T)
+                  for g, c in self.catchments.items()}
         deviation = np.abs(fields[p.primary_group] - p.a_sigma)
-        objective = p.alpha * len(open_candidates) + p.beta * float(
-            np.sum(deviation**2)
-        )
-        feasible = True
+        n_open = open_idx.shape[1] - len(self.existing_idx)
+        objective = p.alpha * n_open + p.beta * np.sum(deviation**2, axis=-1)
+        feasible = np.ones(len(open_idx), dtype=bool)
         shortfall = 0.0
         for g in p.constraint_groups:
-            scores = fields[g][self.pos_mask[g]]
-            if np.any(scores < p.a_sigma - FEASIBILITY_TOL):
-                feasible = False
-            shortfall += float(np.sum(np.maximum(0.0, p.a_sigma - scores) ** 2))
+            # a column subset comes out column-major; copy it to rows
+            scores = np.ascontiguousarray(fields[g][:, self.pos_mask[g]])
+            feasible &= ~np.any(scores < p.a_sigma - FEASIBILITY_TOL, axis=-1)
+            shortfall = shortfall + np.sum(np.maximum(0.0, p.a_sigma - scores) ** 2,
+                                           axis=-1)
         return objective, feasible, shortfall
+
+    def evaluate(self, open_candidates) -> tuple[float, bool, float]:
+        """(objective, feasible, total squared shortfall) for one layout."""
+        open_idx = np.array([self.open_indices(open_candidates)], dtype=np.intp)
+        objective, feasible, shortfall = self.evaluate_block(open_idx)
+        return float(objective[0]), bool(feasible[0]), float(shortfall[0])
 
     def objective(self, open_candidates) -> float:
         return self.evaluate(open_candidates)[0]
@@ -446,18 +470,23 @@ def local_search(
     return Layout(frozenset(final))
 
 
+def _resolve_bins(params: ObjectiveParams, bins) -> tuple[tuple[str, float], ...]:
+    """The checked coverage bins of a result, resolved before any layout is scored."""
+    labels, bounds = _check_bins(default_bins(params.a_sigma) if bins is None else bins)
+    return tuple(zip(labels, bounds))
+
+
 def _assemble_result(
     ev: _Evaluator,
     matrices,
     open_ids,
     trace,
-    bins=None,
+    bin_spec,
 ) -> OptimizationResult:
     scenario, params = ev.scenario, ev.params
     layout = Layout(frozenset(open_ids))
     shortfalls = ev.shortfalls(layout.open_candidates)
     open_idx = ev.open_indices(layout.open_candidates)
-    bin_spec = default_bins(params.a_sigma) if bins is None else bins
     fields, coverage = {}, {}
     for g in scenario.groups:
         catchment = ev.catchments.get(g.name) or _catchment(scenario, matrices, g.name)
@@ -488,12 +517,43 @@ def optimize(
     target everywhere, the all-open layout is returned marked infeasible
     with its shortfall list.
     """
+    bin_spec = _resolve_bins(params, bins)
     ev = _Evaluator(scenario, matrices, params)
     open_ids, trace = _greedy(ev)
     if ev.feasible(open_ids):
         open_ids, ls_trace = _local_search(ev, open_ids, budget)
         trace.extend(ls_trace)
-    return _assemble_result(ev, matrices, open_ids, trace, bins)
+    return _assemble_result(ev, matrices, open_ids, trace, bin_spec)
+
+
+def _least(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Those of ``rows`` whose value is the least among them."""
+    if not len(rows):
+        return rows
+    return rows[values[rows] == values[rows].min()]
+
+
+def _subset_blocks(ev: _Evaluator):
+    """Every candidate subset, in blocks of subsets of one size.
+
+    Yields (picks, open_idx): ``picks`` holds each subset's ascending
+    positions in ``ev.candidate_ids``, ``open_idx`` the ascending site
+    columns its layout opens, the existing sites included.
+    """
+    columns = np.array([ev.site_index[c] for c in ev.candidate_ids], dtype=np.intp)
+    existing = np.array(ev.existing_idx, dtype=np.intp)
+    for k in range(len(columns) + 1):
+        width = len(existing) + k
+        rows = max(1, ORACLE_BLOCK_BYTES // (8 * max(1, ev.n_demands * width)))
+        combos = itertools.combinations(range(len(columns)), k)
+        while chunk := list(itertools.islice(combos, rows)):
+            picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            open_idx = np.concatenate(
+                (np.broadcast_to(existing, (len(chunk), len(existing))), columns[picks]),
+                axis=1,
+            )
+            open_idx.sort(axis=1)
+            yield picks, open_idx
 
 
 def exhaustive_oracle(
@@ -507,28 +567,37 @@ def exhaustive_oracle(
 
     Returns the minimum-objective feasible layout (ties: fewer sites, then
     lexicographically smallest id set).  If no subset is feasible, returns
-    the subset with the smallest total shortfall, marked infeasible.
+    the subset with the smallest total shortfall, marked infeasible (ties:
+    smaller objective, fewer sites, then smallest id set).
+
+    Subsets are scored in blocks of one size through
+    ``_Evaluator.evaluate_block``, which gives each the bits ``evaluate``
+    gives it alone; only the rows tied for a block's least value are
+    compared by their full keys.
     """
     check_max_pool(max_pool)
-    ev = _Evaluator(scenario, matrices, params)
-    pool = len(ev.candidate_ids)
+    bin_spec = _resolve_bins(params, bins)
+    pool = len(scenario.candidate_site_ids)
     if pool > max_pool:
         raise CandidatePoolError(
             f"{pool} candidate sites exceed the enumeration cap of {max_pool}"
         )
+    ev = _Evaluator(scenario, matrices, params)
+    ids = ev.candidate_ids
     best_feasible = None
     best_any = None
-    for mask in range(1 << pool):
-        subset = tuple(
-            cid for b, cid in enumerate(ev.candidate_ids) if (mask >> b) & 1
-        )
-        objective, feasible, shortfall = ev.evaluate(subset)
-        if feasible:
-            key = (objective, len(subset), subset)
+    for picks, open_idx in _subset_blocks(ev):
+        objective, feasible, shortfall = ev.evaluate_block(open_idx)
+        k = picks.shape[1]
+        for r in _least(objective, np.flatnonzero(feasible)):
+            key = (float(objective[r]), k, tuple(ids[i] for i in picks[r]))
             if best_feasible is None or key < best_feasible:
                 best_feasible = key
-        key_any = (shortfall, objective, len(subset), subset)
-        if best_any is None or key_any < best_any:
-            best_any = key_any
+        rows = _least(shortfall, np.arange(len(picks)))
+        for r in _least(objective, rows):
+            key = (float(shortfall[r]), float(objective[r]), k,
+                   tuple(ids[i] for i in picks[r]))
+            if best_any is None or key < best_any:
+                best_any = key
     chosen = best_feasible[2] if best_feasible is not None else best_any[3]
-    return _assemble_result(ev, matrices, chosen, (), bins)
+    return _assemble_result(ev, matrices, chosen, (), bin_spec)

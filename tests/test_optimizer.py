@@ -17,6 +17,7 @@ from accessopt.optimizer import (
     is_feasible,
     local_search,
     objective_value,
+    _Evaluator,
     optimize,
 )
 from accessopt.routing import build_travel_time_matrices
@@ -374,3 +375,53 @@ class TestOptimize:
         result = optimize(sc, mats, params())
         assert result.layout.k == 0
         assert result.feasible
+
+
+class TestFailFast:
+    """Bad bins and an oversized pool are refused before any layout is scored."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        calls = []
+        for name in ("__init__", "evaluate_block"):
+            method = getattr(_Evaluator, name)
+
+            def wrapper(self, *args, _method=method, _name=name):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(_Evaluator, name, wrapper)
+        return calls
+
+    @staticmethod
+    def pool12():
+        sc = generate_synthetic_scenario(3, grid_rows=10, grid_cols=10,
+                                         n_existing=3, n_candidate=12)
+        assert len(sc.candidate_site_ids) == 12
+        return sc, build_travel_time_matrices(sc)
+
+    @pytest.mark.parametrize("entry", [optimize, exhaustive_oracle])
+    @pytest.mark.parametrize("bins,a_sigma,message", [
+        ((("a", 0.0), ("b", math.nan)), 0.135, "finite"),
+        (None, 5e-324, "strictly increasing"),  # the default bins collapse
+    ])
+    def test_bins_refused_before_scoring(self, monkeypatch, entry, bins, a_sigma, message):
+        sc, mats = self.pool12()
+        calls = self.counted(monkeypatch)
+        with pytest.raises(ValidationError, match=message):
+            entry(sc, mats, params(a_sigma=a_sigma), bins=bins)
+        assert calls == []
+
+    def test_pool_refused_before_scoring(self, monkeypatch):
+        sc, mats = self.pool12()
+        calls = self.counted(monkeypatch)
+        with pytest.raises(CandidatePoolError):
+            exhaustive_oracle(sc, mats, params(), max_pool=11)
+        assert calls == []
+
+    def test_counter_sees_scoring(self, monkeypatch):
+        sc, mats = self.pool12()
+        calls = self.counted(monkeypatch)
+        exhaustive_oracle(sc, mats, params(), max_pool=12)
+        assert calls.count("__init__") == 1
+        assert calls.count("evaluate_block") > 12
