@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .accessibility import (
-    AccessibilityField,
     CoverageReport,
+    _check_bins,
     accessibility_scores,
     assign_bin,
     coverage_report,
@@ -34,6 +34,7 @@ from .geodata import (
     format_number,
     generate_synthetic_scenario,
     load_scenario,
+    write_csv,
     write_scenario_bundle,
 )
 from .optimizer import (
@@ -42,6 +43,7 @@ from .optimizer import (
     CandidatePoolError,
     ObjectiveParams,
     OptimizationResult,
+    check_budget,
     check_max_pool,
     exhaustive_oracle,
     optimize,
@@ -87,6 +89,7 @@ class RunConfig:
 
 
 _PATH_KEYS = ("bundle", "nodes", "edges", "demand", "sites", "out")
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
 def parse_groups(raw: str) -> tuple[PopulationGroup, ...]:
@@ -115,6 +118,9 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _convert(key: str, raw: str):
+    """The value of config key ``key`` from its text, a config line's or a flag's."""
+    if key in _PATH_KEYS:
+        return raw
     if key == "groups":
         return parse_groups(raw)
     if key == "constraint_groups":
@@ -126,14 +132,12 @@ def _convert(key: str, raw: str):
         return bounds
     if key == "bin_labels":
         return tuple(s.strip() for s in raw.split(","))
-    kind = {f.name: f.type for f in dataclasses.fields(RunConfig)}[key]
-    if key in _PATH_KEYS:
-        return raw
-    if kind.startswith("bool"):
+    kind = _FIELD_TYPES[key]
+    if kind == "bool":
         return _parse_bool(raw)
-    if kind.startswith("int"):
+    if kind == "int":
         return int(raw)
-    if kind.startswith("float"):
+    if kind == "float":
         value = float(raw)
         if not math.isfinite(value):
             raise ValidationError(f"{key} must be finite, got {raw.strip()!r}")
@@ -149,7 +153,6 @@ def read_config_file(path) -> dict:
     path = Path(path)
     base = path.parent
     values: dict = {}
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -159,7 +162,7 @@ def read_config_file(path) -> dict:
                 raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = (part.strip() for part in text.split("=", 1))
             key = key.replace("-", "_")
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
             try:
                 value = _convert(key, raw)
@@ -171,17 +174,25 @@ def read_config_file(path) -> dict:
     return values
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, then every flag given, each parsed as a config line."""
     cfg = RunConfig()
     if args.config:
         for key, value in read_config_file(args.config).items():
             setattr(cfg, key, value)
-    for field in dataclasses.fields(RunConfig):
-        raw = getattr(args, field.name, None)
-        if raw is None:
-            continue
-        value = _convert(field.name, raw) if isinstance(raw, str) else raw
-        setattr(cfg, field.name, value)
+    for key in _FIELD_TYPES:
+        value = getattr(args, key, None)
+        if isinstance(value, str):
+            try:
+                value = _convert(key, value)
+            except ValueError as exc:
+                raise ValidationError(f"{_flag(key)}: {exc}") from None
+        if value is not None:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -206,15 +217,6 @@ def _coverage_payload(report: CoverageReport) -> list:
     ]
 
 
-def _write_field_csv(path: Path, field: AccessibilityField) -> None:
-    lines = ["demand_id,group,A"]
-    lines.extend(
-        f"{did},{field.group},{format_number(score)}"
-        for did, score in field.scores.items()
-    )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _result_payload(result: OptimizationResult) -> dict:
     return {
         "layout": list(result.layout.sorted_ids()),
@@ -232,26 +234,22 @@ def _result_payload(result: OptimizationResult) -> dict:
     }
 
 
+def _feature(location, properties: dict) -> dict:
+    return {
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": [location.lon, location.lat]},
+        "properties": properties,
+    }
+
+
 def _geojson_payload(scenario: Scenario, open_ids, fields, bin_spec) -> dict:
     labels = [label for label, _ in bin_spec]
     bounds = [lower for _, lower in bin_spec]
-    features = []
-    for s in scenario.sites:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [s.location.lon, s.location.lat],
-                },
-                "properties": {
-                    "site_id": s.site_id,
-                    "status": s.status,
-                    "opened": s.site_id in open_ids,
-                    "capacity": s.capacity,
-                },
-            }
-        )
+    features = [
+        _feature(s.location, {"site_id": s.site_id, "status": s.status,
+                              "opened": s.site_id in open_ids, "capacity": s.capacity})
+        for s in scenario.sites
+    ]
     for d in scenario.demands:
         props = {"demand_id": d.demand_id}
         for name, field in fields.items():
@@ -259,17 +257,20 @@ def _geojson_payload(scenario: Scenario, open_ids, fields, bin_spec) -> dict:
             props[f"A_{name}"] = score
             props[f"bin_{name}"] = labels[assign_bin(bounds, score)]
             props[f"pop_{name}"] = d.pop_of(name)
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [d.location.lon, d.location.lat],
-                },
-                "properties": props,
-            }
-        )
+        features.append(_feature(d.location, props))
     return {"type": "FeatureCollection", "features": features}
+
+
+def _write_layout(out: Path, scenario: Scenario, open_ids, fields, coverage,
+                  bin_spec) -> None:
+    """A layout's ``accessibility_<group>.csv``, ``coverage_<group>.json`` and
+    ``layout.geojson``."""
+    for name, field in fields.items():
+        write_csv(out / f"accessibility_{name}.csv", ("demand_id", "group", "A"),
+                  ((did, field.group, score) for did, score in field.scores.items()))
+        _write_json(out / f"coverage_{name}.json", _coverage_payload(coverage[name]))
+    _write_json(out / "layout.geojson",
+                _geojson_payload(scenario, open_ids, fields, bin_spec))
 
 
 # ---------------------------------------------------------------------------
@@ -277,39 +278,36 @@ def _geojson_payload(scenario: Scenario, open_ids, fields, bin_spec) -> dict:
 # ---------------------------------------------------------------------------
 
 def _bin_spec(cfg: RunConfig):
+    """The checked coverage bins, resolved before the scenario is read."""
     if cfg.bins is None:
-        return default_bins(cfg.a_sigma)
-    labels = cfg.bin_labels
-    if labels is None:
-        labels = tuple(f"bin{k}" for k in range(len(cfg.bins)))
-    if len(labels) != len(cfg.bins):
-        raise ValidationError("bins and bin_labels must have the same length")
-    return tuple(zip(labels, cfg.bins))
+        spec = default_bins(cfg.a_sigma)
+    else:
+        labels = cfg.bin_labels
+        if labels is None:
+            labels = tuple(f"bin{k}" for k in range(len(cfg.bins)))
+        if len(labels) != len(cfg.bins):
+            raise ValidationError("bins and bin_labels must have the same length")
+        spec = zip(labels, cfg.bins)
+    return tuple(zip(*_check_bins(spec)))
 
 
-def _scenario_paths(cfg: RunConfig) -> dict[str, Path]:
-    paths = {}
-    names = {"nodes": "nodes.csv", "edges": "edges.csv",
-             "demand": "demand.csv", "sites": "sites.csv"}
-    for key, filename in names.items():
-        explicit = getattr(cfg, key)
-        if explicit:
-            paths[key] = Path(explicit)
+def _prepare(cfg: RunConfig):
+    """The scenario, its travel-time matrices and the created output directory."""
+    paths = []
+    for key in ("nodes", "edges", "demand", "sites"):
+        if getattr(cfg, key):
+            paths.append(Path(getattr(cfg, key)))
         elif cfg.bundle:
-            paths[key] = Path(cfg.bundle) / filename
+            paths.append(Path(cfg.bundle) / f"{key}.csv")
         else:
-            raise ValidationError(
-                f"no {key} file configured (set '{key}' or 'bundle')"
-            )
-    return paths
-
-
-def _load(cfg: RunConfig) -> Scenario:
-    paths = _scenario_paths(cfg)
-    return load_scenario(
-        paths["nodes"], paths["edges"], paths["demand"], paths["sites"],
-        groups=cfg.groups, default_capacity=cfg.capacity,
+            raise ValidationError(f"no {key} file configured (set '{key}' or 'bundle')")
+    scenario = load_scenario(*paths, groups=cfg.groups, default_capacity=cfg.capacity)
+    matrices = build_travel_time_matrices(
+        scenario, include_snap_distance=cfg.include_snap, snap_warn_m=cfg.snap_warn_m
     )
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return scenario, matrices, out
 
 
 def _params(cfg: RunConfig) -> ObjectiveParams:
@@ -323,25 +321,14 @@ def _params(cfg: RunConfig) -> ObjectiveParams:
     )
 
 
-def _matrices(scenario: Scenario, cfg: RunConfig):
-    return build_travel_time_matrices(
-        scenario,
-        include_snap_distance=cfg.include_snap,
-        snap_warn_m=cfg.snap_warn_m,
-    )
-
-
 def _dump_matrices(out: Path, matrices, cfg: RunConfig) -> None:
     if cfg.dump_matrix:
         for name, matrix in matrices.items():
             write_matrix_csv(matrix, out / f"travel_times_{name}.csv")
 
 
-_CONFIG_ECHO_KEYS = (
-    "groups", "alpha", "beta", "gamma", "a_sigma", "primary_group",
-    "constraint_groups", "capacity", "budget", "max_pool", "seed",
-    "snap_warn_m", "include_snap", "dump_matrix", "grid_rows", "grid_cols",
-    "n_existing", "n_candidate", "population_scale", "spacing_m",
+_CONFIG_ECHO_KEYS = tuple(
+    key for key in _FIELD_TYPES if key not in (*_PATH_KEYS, "bins", "bin_labels")
 )
 
 
@@ -385,22 +372,22 @@ def cmd_synth(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _score_groups(scenario: Scenario, matrices, open_ids, gamma: float, bin_spec):
+    """Every group's accessibility field and coverage report for one layout."""
+    fields, coverage = {}, {}
+    for g in scenario.groups:
+        field = accessibility_scores(scenario, matrices[g.name], open_ids, gamma)
+        fields[g.name] = field
+        coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
+    return fields, coverage
+
+
 def cmd_score(cfg: RunConfig) -> int:
     bin_spec = _bin_spec(cfg)
-    scenario = _load(cfg)
-    matrices = _matrices(scenario, cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scenario, matrices, out = _prepare(cfg)
     open_ids = set(scenario.existing_site_ids)
-    fields = {}
-    for g in scenario.groups:
-        field = accessibility_scores(scenario, matrices[g.name], open_ids, cfg.gamma)
-        fields[g.name] = field
-        _write_field_csv(out / f"accessibility_{g.name}.csv", field)
-        report = coverage_report(field, scenario.demands, bin_spec)
-        _write_json(out / f"coverage_{g.name}.json", _coverage_payload(report))
-    _write_json(out / "layout.geojson",
-                _geojson_payload(scenario, open_ids, fields, bin_spec))
+    fields, coverage = _score_groups(scenario, matrices, open_ids, cfg.gamma, bin_spec)
+    _write_layout(out, scenario, open_ids, fields, coverage, bin_spec)
     _dump_matrices(out, matrices, cfg)
     print(f"scored existing layout ({len(open_ids)} sites) into {out}")
     return EXIT_OK
@@ -409,26 +396,18 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_solve(cfg: RunConfig) -> int:
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
-    scenario = _load(cfg)
-    matrices = _matrices(scenario, cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    check_budget(cfg.budget)
+    scenario, matrices, out = _prepare(cfg)
 
     baseline_open = set(scenario.existing_site_ids)
-    for g in scenario.groups:
-        field = accessibility_scores(scenario, matrices[g.name], baseline_open, cfg.gamma)
-        report = coverage_report(field, scenario.demands, bin_spec)
-        _write_json(out / f"coverage_{g.name}_before.json", _coverage_payload(report))
+    _, before = _score_groups(scenario, matrices, baseline_open, cfg.gamma, bin_spec)
+    for name, report in before.items():
+        _write_json(out / f"coverage_{name}_before.json", _coverage_payload(report))
 
     result = optimize(scenario, matrices, params, budget=cfg.budget, bins=bin_spec)
     _write_json(out / "result.json", _result_payload(result))
-    for name, field in result.per_group_fields.items():
-        _write_field_csv(out / f"accessibility_{name}.csv", field)
-        _write_json(out / f"coverage_{name}.json",
-                    _coverage_payload(result.coverage[name]))
     opened = baseline_open | set(result.layout.open_candidates)
-    _write_json(out / "layout.geojson",
-                _geojson_payload(scenario, opened, result.per_group_fields, bin_spec))
+    _write_layout(out, scenario, opened, result.per_group_fields, result.coverage, bin_spec)
     _dump_matrices(out, matrices, cfg)
     status = "feasible" if result.feasible else "infeasible"
     print(f"solve: k={result.layout.k} objective={result.objective} {status}")
@@ -439,10 +418,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     check_max_pool(cfg.max_pool)
-    scenario = _load(cfg)
-    matrices = _matrices(scenario, cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scenario, matrices, out = _prepare(cfg)
     result = exhaustive_oracle(scenario, matrices, params,
                                max_pool=cfg.max_pool, bins=bin_spec)
     payload = {"oracle": True, **_result_payload(result)}
@@ -465,6 +441,13 @@ def cmd_oracle(cfg: RunConfig) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+_FLAG_HELP = {
+    "out": "output directory",
+    "bundle": "directory holding nodes/edges/demand/sites CSVs",
+    "groups": "name:speed:max_walk, comma separated",
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accessopt",
@@ -481,28 +464,13 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        sp.add_argument("--out", metavar="DIR", help="output directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--bundle", metavar="DIR",
-                        help="directory holding nodes/edges/demand/sites CSVs")
-        for key in ("nodes", "edges", "demand", "sites"):
-            sp.add_argument(f"--{key}", metavar="PATH")
-        sp.add_argument("--groups", metavar="SPEC",
-                        help="name:speed:max_walk, comma separated")
-        for key in ("alpha", "beta", "gamma", "a-sigma", "capacity",
-                    "snap-warn-m", "population-scale", "spacing-m"):
-            sp.add_argument(f"--{key}", type=float)
-        for key in ("budget", "max-pool", "grid-rows", "grid-cols",
-                    "n-existing", "n-candidate"):
-            sp.add_argument(f"--{key}", type=int)
-        sp.add_argument("--primary-group", metavar="NAME")
-        sp.add_argument("--constraint-groups", metavar="NAMES")
-        sp.add_argument("--bins", metavar="BOUNDS")
-        sp.add_argument("--bin-labels", metavar="LABELS")
-        sp.add_argument("--include-snap", action=argparse.BooleanOptionalAction,
-                        default=None)
-        sp.add_argument("--dump-matrix", action=argparse.BooleanOptionalAction,
-                        default=None)
+        # one flag per config key; build_config parses its value as a config line
+        for key, kind in _FIELD_TYPES.items():
+            if kind == "bool":
+                sp.add_argument(_flag(key), action=argparse.BooleanOptionalAction,
+                                default=None)
+            else:
+                sp.add_argument(_flag(key), help=_FLAG_HELP.get(key))
     return parser
 
 

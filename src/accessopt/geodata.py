@@ -3,6 +3,12 @@
 Everything downstream (routing, scoring, optimization) consumes the immutable
 ``Scenario`` built here, either parsed from a CSV bundle or synthesized
 deterministically from a seed.
+
+Every CSV crosses the boundary through one function each way.  ``read_csv``
+checks the header, parses each cell by its column and builds one value per
+row; every error it raises names the file and, past the header, the line.
+``write_csv`` writes every CSV of the package, the command line's outputs
+included, and quotes only cells that need it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -261,141 +267,114 @@ class Scenario:
 
 
 # ---------------------------------------------------------------------------
-# CSV parsing
+# CSV reading and writing
 # ---------------------------------------------------------------------------
 
-def _require_columns(fieldnames, required, path):
-    have = fieldnames or []
-    missing = [c for c in required if c not in have]
-    if missing:
-        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build) -> list:
+    """One ``build(*cells)`` per data row of the CSV at ``path``.
+
+    ``columns`` maps each required header name to a cell parser, called as
+    ``parse(raw, column)``; the cells reach ``build`` in the order of
+    ``columns``, whatever the file's column order.  Other columns are
+    ignored, blank lines skipped, and a short row reads as blank cells.  A
+    missing column raises ``SchemaError``; any ``InputError`` raised while a
+    row is parsed or built comes out with ``path:line:`` in front.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
+        position = {name: i for i, name in enumerate(header)}
+        cells = [(position[name], name, parse) for name, parse in columns.items()]
+        width = len(header)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            row += [""] * (width - len(row))
+            try:
+                rows.append(build(*[parse(row[i], name) for i, name, parse in cells]))
+            except InputError as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+    return rows
 
 
-def _parse_float(raw, path, line, column) -> float:
+def _text(raw: str, column: str) -> str:
+    return raw.strip()
+
+
+def _id(raw: str, column: str) -> str:
+    value = raw.strip()
+    if not value:
+        raise ParseError(f"empty {column}")
+    return value
+
+
+def _number(raw: str, column: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"{path}:{line}: column '{column}': cannot parse number from {raw!r}"
-        ) from None
+    except ValueError:
+        raise ParseError(f"column '{column}': cannot parse number from {raw!r}") from None
 
 
-def _parse_int(raw, path, line, column) -> int:
+def _count(raw: str, column: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
-        raise ParseError(
-            f"{path}:{line}: column '{column}': cannot parse integer from {raw!r}"
-        ) from None
+    except ValueError:
+        raise ParseError(f"column '{column}': cannot parse integer from {raw!r}") from None
 
 
-def _located(exc: ValidationError, path, line) -> ValidationError:
-    return ValidationError(f"{path}:{line}: {exc}")
+def _direction(raw: str, column: str) -> bool:
+    token = raw.strip()
+    if token not in ("", "0", "1"):
+        raise ParseError(f"column '{column}': expected 0, 1 or blank, got {token!r}")
+    return token != "0"
 
 
 def parse_network(nodes_path, edges_path) -> RoadNetwork:
     """Read the node and edge CSVs into a validated road network."""
     nodes: dict[str, Coordinate] = {}
-    with open(nodes_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(reader.fieldnames, ("node_id", "lon", "lat"), nodes_path)
-        for row in reader:
-            line = reader.line_num
-            nid = (row["node_id"] or "").strip()
-            if not nid:
-                raise ParseError(f"{nodes_path}:{line}: empty node_id")
-            if nid in nodes:
-                raise ValidationError(f"{nodes_path}:{line}: duplicate node_id '{nid}'")
-            lon = _parse_float(row["lon"], nodes_path, line, "lon")
-            lat = _parse_float(row["lat"], nodes_path, line, "lat")
-            try:
-                nodes[nid] = Coordinate(lon, lat)
-            except ValidationError as exc:
-                raise _located(exc, nodes_path, line) from None
 
-    edges: list[Edge] = []
-    with open(edges_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(
-            reader.fieldnames, ("from_id", "to_id", "length_m", "bidirectional"), edges_path
-        )
-        for row in reader:
-            line = reader.line_num
-            raw_bidi = (row["bidirectional"] or "").strip()
-            if raw_bidi in ("", "1"):
-                bidi = True
-            elif raw_bidi == "0":
-                bidi = False
-            else:
-                raise ParseError(
-                    f"{edges_path}:{line}: column 'bidirectional': expected 0, 1 or "
-                    f"blank, got {raw_bidi!r}"
-                )
-            length = _parse_float(row["length_m"], edges_path, line, "length_m")
-            ends = ((row["from_id"] or "").strip(), (row["to_id"] or "").strip())
-            for nid in ends:
-                if nid not in nodes:
-                    raise ValidationError(f"{edges_path}:{line}: unknown node '{nid}'")
-            try:
-                edges.append(Edge(*ends, length, bidi))
-            except ValidationError as exc:
-                raise _located(exc, edges_path, line) from None
+    def node(nid: str, lon: float, lat: float) -> None:
+        if nid in nodes:
+            raise ValidationError(f"duplicate node_id '{nid}'")
+        nodes[nid] = Coordinate(lon, lat)
 
+    def edge(from_id: str, to_id: str, length_m: float, bidirectional: bool) -> Edge:
+        for nid in (from_id, to_id):
+            if nid not in nodes:
+                raise ValidationError(f"unknown node '{nid}'")
+        return Edge(from_id, to_id, length_m, bidirectional)
+
+    read_csv(nodes_path, {"node_id": _id, "lon": _number, "lat": _number}, node)
+    edges = read_csv(edges_path, {"from_id": _text, "to_id": _text, "length_m": _number,
+                                  "bidirectional": _direction}, edge)
     return RoadNetwork(nodes, tuple(edges))
 
 
 def parse_demand(path, groups: Sequence[PopulationGroup]) -> list[DemandPoint]:
     """Read demand points; one ``pop_<group>`` column per declared group."""
-    pop_columns = {g.name: f"pop_{g.name}" for g in groups}
-    demands: list[DemandPoint] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(
-            reader.fieldnames, ("demand_id", "lon", "lat", *pop_columns.values()), path
-        )
-        for row in reader:
-            line = reader.line_num
-            did = (row["demand_id"] or "").strip()
-            if not did:
-                raise ParseError(f"{path}:{line}: empty demand_id")
-            lon = _parse_float(row["lon"], path, line, "lon")
-            lat = _parse_float(row["lat"], path, line, "lat")
-            population = {
-                name: _parse_int(row[col], path, line, col)
-                for name, col in pop_columns.items()
-            }
-            try:
-                demands.append(DemandPoint(did, Coordinate(lon, lat), population))
-            except ValidationError as exc:
-                raise _located(exc, path, line) from None
-    return demands
+    names = [g.name for g in groups]
+
+    def demand(did: str, lon: float, lat: float, *counts: int) -> DemandPoint:
+        return DemandPoint(did, Coordinate(lon, lat), dict(zip(names, counts)))
+
+    columns = {"demand_id": _id, "lon": _number, "lat": _number}
+    columns.update((f"pop_{name}", _count) for name in names)
+    return read_csv(path, columns, demand)
 
 
 def parse_sites(path, default_capacity: float = DEFAULT_CAPACITY) -> list[FacilitySite]:
     """Read facility sites; a blank capacity cell falls back to the default."""
-    sites: list[FacilitySite] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        _require_columns(
-            reader.fieldnames, ("site_id", "lon", "lat", "status", "capacity"), path
-        )
-        for row in reader:
-            line = reader.line_num
-            sid = (row["site_id"] or "").strip()
-            if not sid:
-                raise ParseError(f"{path}:{line}: empty site_id")
-            lon = _parse_float(row["lon"], path, line, "lon")
-            lat = _parse_float(row["lat"], path, line, "lat")
-            raw_cap = (row["capacity"] or "").strip()
-            capacity = default_capacity if raw_cap == "" else _parse_float(
-                raw_cap, path, line, "capacity"
-            )
-            status = (row["status"] or "").strip()
-            try:
-                sites.append(FacilitySite(sid, Coordinate(lon, lat), status, capacity))
-            except ValidationError as exc:
-                raise _located(exc, path, line) from None
-    return sites
+
+    def site(sid: str, lon: float, lat: float, status: str, capacity: str) -> FacilitySite:
+        capacity = _number(capacity, "capacity") if capacity else default_capacity
+        return FacilitySite(sid, Coordinate(lon, lat), status, capacity)
+
+    return read_csv(path, {"site_id": _id, "lon": _number, "lat": _number,
+                           "status": _text, "capacity": _text}, site)
 
 
 def load_scenario(
@@ -415,10 +394,6 @@ def load_scenario(
     )
 
 
-# ---------------------------------------------------------------------------
-# CSV serialization
-# ---------------------------------------------------------------------------
-
 def format_number(x: float) -> str:
     """Shortest exact decimal form; integral values drop the trailing ``.0``."""
     value = float(x)
@@ -427,43 +402,40 @@ def format_number(x: float) -> str:
     return repr(value)
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as UTF-8 CSV with ``\\n`` line ends.
+
+    Every CSV the package writes goes through here.  Floats are written by
+    ``format_number``, other cells by ``str``.  A cell holding a comma, a
+    double quote or a line break is quoted, with its quotes doubled
+    (``a,"b`` comes out as ``"a,""b"``), so every id reads back as written.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_number(c) if isinstance(c, float) else c for c in row])
 
 
 def write_network(network: RoadNetwork, nodes_path, edges_path) -> None:
-    with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(("node_id", "lon", "lat"))
-        for nid, coord in network.nodes.items():
-            w.writerow((nid, format_number(coord.lon), format_number(coord.lat)))
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(("from_id", "to_id", "length_m", "bidirectional"))
-        for e in network.edges:
-            w.writerow((e.from_id, e.to_id, format_number(e.length_m),
-                        "1" if e.bidirectional else "0"))
+    write_csv(nodes_path, ("node_id", "lon", "lat"),
+              ((nid, c.lon, c.lat) for nid, c in network.nodes.items()))
+    write_csv(edges_path, ("from_id", "to_id", "length_m", "bidirectional"),
+              ((e.from_id, e.to_id, e.length_m, int(e.bidirectional)) for e in network.edges))
 
 
 def write_demand(demands: Iterable[DemandPoint], path,
                  groups: Sequence[PopulationGroup]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(("demand_id", "lon", "lat", *(f"pop_{g.name}" for g in groups)))
-        for d in demands:
-            w.writerow((d.demand_id, format_number(d.location.lon),
-                        format_number(d.location.lat),
-                        *(str(d.pop_of(g.name)) for g in groups)))
+    write_csv(path, ("demand_id", "lon", "lat", *(f"pop_{g.name}" for g in groups)), (
+        (d.demand_id, d.location.lon, d.location.lat, *(d.pop_of(g.name) for g in groups))
+        for d in demands
+    ))
 
 
 def write_sites(sites: Iterable[FacilitySite], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = _writer(fh)
-        w.writerow(("site_id", "lon", "lat", "status", "capacity"))
-        for s in sites:
-            w.writerow((s.site_id, format_number(s.location.lon),
-                        format_number(s.location.lat), s.status,
-                        format_number(s.capacity)))
+    write_csv(path, ("site_id", "lon", "lat", "status", "capacity"), (
+        (s.site_id, s.location.lon, s.location.lat, s.status, s.capacity) for s in sites
+    ))
 
 
 BUNDLE_FILES = ("nodes.csv", "edges.csv", "demand.csv", "sites.csv")
@@ -526,8 +498,12 @@ def generate_synthetic_scenario(
         )
     if not groups:
         raise ValidationError("at least one population group required")
-    if not spacing_m > 0:
-        raise ValidationError("spacing_m must be > 0")
+    if not (spacing_m > 0 and math.isfinite(spacing_m)):
+        raise ValidationError(f"spacing_m must be finite and > 0, got {spacing_m!r}")
+    if not (population_scale >= 0 and math.isfinite(population_scale)):
+        raise ValidationError(
+            f"population_scale must be finite and >= 0, got {population_scale!r}"
+        )
 
     rng = np.random.default_rng(seed)
     width = max(4, len(str(n_nodes - 1)))

@@ -128,7 +128,14 @@ class OptimizationResult:
             raise ValidationError("feasible flag contradicts the shortfall list")
 
 
+def check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValidationError(f"budget must be >= 0, got {budget}")
+
+
 def check_max_pool(max_pool: int) -> None:
+    if max_pool < 0:
+        raise ValidationError(f"max_pool must be >= 0, got {max_pool}")
     if max_pool > MAX_POOL_CEILING:
         raise ValidationError(f"max_pool {max_pool} exceeds the ceiling of "
                               f"{MAX_POOL_CEILING} candidate sites")
@@ -464,6 +471,7 @@ def local_search(
     taken; moves are enumerated in ascending site-id order so the outcome is
     deterministic.  An infeasible start is returned unchanged with a warning.
     """
+    check_budget(budget)
     _check_layout(start, scenario)
     ev = _Evaluator(scenario, matrices, params)
     final, _ = _local_search(ev, set(start.open_candidates), budget)
@@ -517,6 +525,7 @@ def optimize(
     target everywhere, the all-open layout is returned marked infeasible
     with its shortfall list.
     """
+    check_budget(budget)
     bin_spec = _resolve_bins(params, bins)
     ev = _Evaluator(scenario, matrices, params)
     open_ids, trace = _greedy(ev)

@@ -24,7 +24,7 @@ from .geodata import (
     RoadNetwork,
     Scenario,
     ValidationError,
-    format_number,
+    write_csv,
 )
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -374,10 +374,8 @@ def build_travel_time_matrices(
 
 def write_matrix_csv(matrix: TravelTimeMatrix, path) -> None:
     """Dump as ``demand_id,site_id,minutes`` rows; unreachable pairs say ``inf``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("demand_id,site_id,minutes\n")
-        for i, did in enumerate(matrix.demand_order):
-            for j, sid in enumerate(matrix.site_order):
-                t = matrix.times_min[i, j]
-                cell = "inf" if math.isinf(t) else format_number(t)
-                fh.write(f"{did},{sid},{cell}\n")
+    write_csv(path, ("demand_id", "site_id", "minutes"), (
+        (did, sid, t)
+        for did, times in zip(matrix.demand_order, matrix.times_min.tolist())
+        for sid, t in zip(matrix.site_order, times)
+    ))

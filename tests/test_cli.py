@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from accessopt.cli import _write_json, build_config, main, parse_groups, read_config_file
+from accessopt.cli import (
+    _build_parser,
+    _write_json,
+    build_config,
+    main,
+    parse_groups,
+    read_config_file,
+)
 from accessopt.geodata import ValidationError
 from accessopt.optimizer import MAX_POOL_CEILING
 
@@ -15,6 +22,21 @@ SMALL_SYNTH = [
 def synth_small(out):
     assert main(SMALL_SYNTH + ["--out", str(out)]) == 0
     return out / "run.cfg"
+
+
+def run(argv):
+    """main's exit code, also when argparse exits by itself."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def append_line(cfg, line):
+    """Append one line to a config file; return its line number."""
+    text = cfg.read_text()
+    cfg.write_text(text + line + "\n")
+    return len(text.splitlines()) + 1
 
 
 class TestConfig:
@@ -52,8 +74,6 @@ class TestConfig:
     def test_cli_flag_overrides_config(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("a_sigma = 0.1\nalpha = 3\n", encoding="utf-8")
-        from accessopt.cli import _build_parser
-
         args = _build_parser().parse_args(
             ["solve", "--config", str(cfg_file), "--a-sigma", "0.25"]
         )
@@ -304,3 +324,103 @@ class TestZeroTarget:
                      "--a-sigma", "0", "--bins", "0,0.1"])
         assert code == 0
         assert json.loads((out / "result.json").read_text())["feasible"]
+
+
+class TestFlagConfigParity:
+    """A flag's value is parsed exactly as the config line of the same key."""
+
+    BAD = [
+        ("score", "snap_warn_m", "nan"),
+        ("synth", "population_scale", "inf"),
+        ("synth", "spacing_m", "nan"),
+        ("score", "capacity", "nan"),
+        ("synth", "seed", "x"),
+    ]
+
+    @pytest.mark.parametrize("command,key,value", BAD)
+    def test_bad_flag_names_flag(self, tmp_path, capsys, command, key, value):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "o"
+        flag = "--" + key.replace("_", "-")
+        assert run([command, "--config", str(cfg), "--out", str(out), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", BAD)
+    def test_bad_config_line_names_file_and_line(self, tmp_path, capsys, command, key, value):
+        cfg = synth_small(tmp_path / "bundle")
+        lineno = append_line(cfg, f"{key} = {value}")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{cfg}:{lineno}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,raw", [
+        ("groups", "general:80:700,elderly:70:650"), ("alpha", "2.5"), ("seed", "11"),
+        ("primary_group", "elderly"), ("constraint_groups", "general, elderly"),
+        ("bins", "0,0.1"), ("bin_labels", "lo, hi"), ("budget", "0"),
+        ("include_snap", "1"), ("dump_matrix", "0"),
+    ])
+    def test_flag_and_config_line_agree(self, tmp_path, key, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        from_file = build_config(_build_parser().parse_args(["score", "--config", str(cfg)]))
+        flag = "--" + key.replace("_", "-")
+        if key in ("include_snap", "dump_matrix"):
+            argv = [flag if raw == "1" else "--no-" + flag[2:]]
+        else:
+            argv = [flag, raw]
+        from_flag = build_config(_build_parser().parse_args(["score", *argv]))
+        assert getattr(from_flag, key) == getattr(from_file, key)
+
+
+class TestRefusedAtBoundary:
+    """Bad bins, budget and pool size exit 2 before the scenario is read."""
+
+    @pytest.mark.parametrize("command,bins,message", [
+        ("score", "0.2,0.1", "strictly increasing"),
+        ("solve", "0.1,0.2", "first bin lower bound"),
+        ("oracle", "0,0", "strictly increasing"),
+    ])
+    def test_bad_bins(self, tmp_path, capsys, command, bins, message):
+        out = tmp_path / "run"
+        code = main([command, "--bundle", str(tmp_path / "missing"), "--out", str(out),
+                     "--bins", bins])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_bins_leave_no_partial_output(self, tmp_path):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "run"
+        assert main(["score", "--config", str(cfg), "--out", str(out),
+                     "--bins", "0.2,0.1"]) == 2
+        assert not out.exists()
+
+    def test_negative_budget(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["solve", "--bundle", str(tmp_path / "missing"), "--out", str(out),
+                     "--budget", "-1"])
+        assert code == 2
+        assert "budget must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_max_pool(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["oracle", "--bundle", str(tmp_path / "missing"), "--out", str(out),
+                     "--max-pool", "-3"])
+        assert code == 2
+        assert "max_pool must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("population_scale = -1", "population_scale must be finite and >= 0"),
+        ("spacing_m = -5", "spacing_m must be finite and > 0"),
+    ])
+    def test_synth_arguments_from_config(self, tmp_path, capsys, line, message):
+        cfg = synth_small(tmp_path / "bundle")
+        append_line(cfg, line)
+        out = tmp_path / "o"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -1,8 +1,12 @@
+import csv
+import math
+
 import pytest
 
 from accessopt.geodata import (
     Coordinate,
     DemandPoint,
+    Edge,
     FacilitySite,
     ParseError,
     PopulationGroup,
@@ -15,6 +19,8 @@ from accessopt.geodata import (
     parse_demand,
     parse_network,
     parse_sites,
+    read_csv,
+    write_csv,
     write_scenario_bundle,
 )
 
@@ -237,6 +243,21 @@ class TestGenerator:
         with pytest.raises(ValidationError, match="2x2"):
             generate_synthetic_scenario(1, grid_rows=1, grid_cols=1)
 
+    @pytest.mark.parametrize("argument,value", [
+        ("population_scale", -1.0), ("population_scale", math.nan),
+        ("population_scale", math.inf), ("spacing_m", math.nan),
+        ("spacing_m", math.inf), ("spacing_m", 0.0),
+    ])
+    def test_bad_argument_named(self, argument, value):
+        with pytest.raises(ValidationError, match=argument):
+            generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
+                                        n_candidate=1, **{argument: value})
+
+    def test_zero_population_scale_allowed(self):
+        sc = generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
+                                         n_candidate=1, population_scale=0.0)
+        assert sc.total_population("general") == 0
+
     def test_sites_on_network_nodes(self):
         sc = generate_synthetic_scenario(5, grid_rows=6, grid_cols=6,
                                          n_existing=2, n_candidate=4)
@@ -249,3 +270,50 @@ class TestGenerator:
                                          n_existing=1, n_candidate=2)
         for d in sc.demands:
             assert d.pop_of("elderly") <= d.pop_of("general")
+
+
+class TestCsvBoundary:
+    """One reader and one writer carry every CSV across the boundary."""
+
+    ODD_IDS = ("a,b", 'say "hi"', 'x,"y"', "plain")
+
+    def test_odd_ids_quoted_and_read_back(self, tmp_path):
+        nodes = {nid: Coordinate(118.0 + k, 32.0) for k, nid in enumerate(self.ODD_IDS)}
+        edges = tuple(Edge(a, b, 100.0) for a, b in zip(self.ODD_IDS, self.ODD_IDS[1:]))
+        demands = tuple(DemandPoint(f"d{nid}", c, {"general": 10})
+                        for nid, c in nodes.items())
+        sites = (FacilitySite('s,"0"', nodes["a,b"], "existing"),)
+        scenario = Scenario(RoadNetwork(nodes, edges), demands, sites, (GENERAL,))
+        paths = write_scenario_bundle(scenario, tmp_path)
+        assert paths["nodes.csv"].read_text().splitlines()[1:3] == [
+            '"a,b",118,32', '"say ""hi""",119,32']
+        reloaded = load_scenario(*(paths[name] for name in
+                                   ("nodes.csv", "edges.csv", "demand.csv", "sites.csv")),
+                                 groups=(GENERAL,))
+        assert reloaded == scenario
+
+    def test_writer_rows_read_back_by_csv_module(self, tmp_path):
+        rows = [("a,b", 'q"', "1"), ("plain", "", "2.5")]
+        write_csv(tmp_path / "x.csv", ("k", "v", "n"), rows)
+        assert tmp_path.joinpath("x.csv").read_bytes() == (
+            b'k,v,n\n"a,b","q""",1\nplain,,2.5\n')
+        with open(tmp_path / "x.csv", newline="") as fh:
+            assert [tuple(r) for r in csv.reader(fh)][1:] == rows
+
+    def test_reader_orders_cells_by_columns_and_skips_blank_lines(self, tmp_path):
+        path = write(tmp_path / "x.csv", "b,extra,a\n2,z,1\n\n4,z,3\n")
+        rows = read_csv(path, {"a": lambda raw, col: raw, "b": lambda raw, col: raw},
+                        lambda a, b: (a, b))
+        assert rows == [("1", "2"), ("3", "4")]
+
+    def test_short_row_reads_as_blank_cells(self, tmp_path):
+        nodes = write(tmp_path / "n.csv", "node_id,lon,lat\na,118.7\n")
+        with pytest.raises(ParseError, match=r"n\.csv:2: column 'lat'"):
+            parse_network(nodes, tmp_path / "e.csv")
+
+    def test_build_error_located(self, tmp_path):
+        path = write(tmp_path / "s.csv",
+                     "site_id,lon,lat,status,capacity\ns1,118.7,32.0,existing,\n"
+                     "s2,118.7,32.0,closed,5\n")
+        with pytest.raises(ValidationError, match=r"s\.csv:3: site 's2': unknown status"):
+            parse_sites(path)

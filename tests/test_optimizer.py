@@ -419,6 +419,23 @@ class TestFailFast:
             exhaustive_oracle(sc, mats, params(), max_pool=11)
         assert calls == []
 
+    def test_negative_max_pool_refused_before_scoring(self, monkeypatch):
+        sc, mats = self.pool12()
+        calls = self.counted(monkeypatch)
+        with pytest.raises(ValidationError, match="max_pool must be >= 0, got -3"):
+            exhaustive_oracle(sc, mats, params(), max_pool=-3)
+        assert calls == []
+
+    def test_negative_budget_refused_before_scoring(self, monkeypatch):
+        sc, mats = self.pool12()
+        start = greedy_construct(sc, mats, params())
+        calls = self.counted(monkeypatch)
+        with pytest.raises(ValidationError, match="budget must be >= 0, got -1"):
+            optimize(sc, mats, params(), budget=-1)
+        with pytest.raises(ValidationError, match="budget must be >= 0, got -1"):
+            local_search(start, sc, mats, params(), budget=-1)
+        assert calls == []
+
     def test_counter_sees_scoring(self, monkeypatch):
         sc, mats = self.pool12()
         calls = self.counted(monkeypatch)
