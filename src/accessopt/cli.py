@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "synth": ("write a synthetic scenario bundle", cmd_synth),
         "score": ("score the existing facility layout", cmd_score),
         "solve": ("choose candidate sites to open", cmd_solve),
-        "oracle": ("exhaustive search over candidate subsets", cmd_oracle),
+        "oracle": ("certified optimum over candidate subsets", cmd_oracle),
     }
     for name, (help_text, func) in commands.items():
         sp = sub.add_parser(name, help=help_text)

@@ -92,13 +92,24 @@ class RoadNetwork:
                     raise ValidationError(
                         f"edge {e.from_id}->{e.to_id} references unknown node '{nid}'"
                     )
-            pairs = {(e.from_id, e.to_id)}
-            if e.bidirectional:
-                pairs.add((e.to_id, e.from_id))
-            for pair in pairs:
-                if pair in occupied:
-                    raise ValidationError(f"duplicate edge {pair[0]}->{pair[1]}")
-            occupied |= pairs
+            _claim_pairs(e, occupied)
+
+
+def _claim_pairs(edge: Edge, occupied: set[tuple[str, str]]) -> None:
+    """Add the directed pairs ``edge`` runs along; refuse one already taken."""
+    forward = (edge.from_id, edge.to_id)
+    pairs = (forward, forward[::-1]) if edge.bidirectional else (forward,)
+    for pair in pairs:
+        if pair in occupied:
+            raise ValidationError(f"duplicate edge {pair[0]}->{pair[1]}")
+    occupied.update(pairs)
+
+
+def _claim_id(seen: set[str], label: str, value: str) -> None:
+    """Add ``value`` to ``seen``; refuse it if it is there already."""
+    if value in seen:
+        raise ValidationError(f"duplicate {label} '{value}'")
+    seen.add(value)
 
 
 @dataclass(frozen=True)
@@ -222,9 +233,7 @@ class Scenario:
         ):
             seen: set[str] = set()
             for value in ids:
-                if value in seen:
-                    raise ValidationError(f"duplicate {label} '{value}'")
-                seen.add(value)
+                _claim_id(seen, label, value)
         names = {g.name for g in self.groups}
         for d in self.demands:
             unknown = sorted(set(d.population) - names)
@@ -336,6 +345,7 @@ def _direction(raw: str, column: str) -> bool:
 def parse_network(nodes_path, edges_path) -> RoadNetwork:
     """Read the node and edge CSVs into a validated road network."""
     nodes: dict[str, Coordinate] = {}
+    occupied: set[tuple[str, str]] = set()
 
     def node(nid: str, lon: float, lat: float) -> None:
         if nid in nodes:
@@ -346,7 +356,9 @@ def parse_network(nodes_path, edges_path) -> RoadNetwork:
         for nid in (from_id, to_id):
             if nid not in nodes:
                 raise ValidationError(f"unknown node '{nid}'")
-        return Edge(from_id, to_id, length_m, bidirectional)
+        built = Edge(from_id, to_id, length_m, bidirectional)
+        _claim_pairs(built, occupied)
+        return built
 
     read_csv(nodes_path, {"node_id": _id, "lon": _number, "lat": _number}, node)
     edges = read_csv(edges_path, {"from_id": _text, "to_id": _text, "length_m": _number,
@@ -357,8 +369,10 @@ def parse_network(nodes_path, edges_path) -> RoadNetwork:
 def parse_demand(path, groups: Sequence[PopulationGroup]) -> list[DemandPoint]:
     """Read demand points; one ``pop_<group>`` column per declared group."""
     names = [g.name for g in groups]
+    seen: set[str] = set()
 
     def demand(did: str, lon: float, lat: float, *counts: int) -> DemandPoint:
+        _claim_id(seen, "demand_id", did)
         return DemandPoint(did, Coordinate(lon, lat), dict(zip(names, counts)))
 
     columns = {"demand_id": _id, "lon": _number, "lat": _number}
@@ -368,8 +382,10 @@ def parse_demand(path, groups: Sequence[PopulationGroup]) -> list[DemandPoint]:
 
 def parse_sites(path, default_capacity: float = DEFAULT_CAPACITY) -> list[FacilitySite]:
     """Read facility sites; a blank capacity cell falls back to the default."""
+    seen: set[str] = set()
 
     def site(sid: str, lon: float, lat: float, status: str, capacity: str) -> FacilitySite:
+        _claim_id(seen, "site_id", sid)
         capacity = _number(capacity, "capacity") if capacity else default_capacity
         return FacilitySite(sid, Coordinate(lon, lat), status, capacity)
 

@@ -5,8 +5,9 @@ the number of newly opened candidate sites and A_i the primary group's
 accessibility score at demand point i, subject to every constrained group
 reaching the target ``a_sigma`` everywhere it has population.  The search is
 greedy construction (open whichever candidate cuts the remaining shortfall
-most) followed by best-improvement drop/swap local search; an exhaustive
-subset enumeration doubles as ground truth on small candidate pools.
+most) followed by best-improvement drop/swap local search; an exact branch
+and bound over candidate subsets doubles as ground truth on pools of up to
+``MAX_POOL_CEILING`` candidates.
 
 Each search step screens, then confirms.  The screen costs every move of
 the step at once from the current layout's field: the field after a move
@@ -17,12 +18,12 @@ win are dropped; the rest are evaluated canonically in order of their lower
 bound until the next bound exceeds the best confirmed value, and the
 winner is chosen by the same keys as a full scan.  The search therefore
 takes the same moves as evaluating every layout, with bit-identical
-objectives, at the cost of a few canonical evaluations per step.
+objectives, at the cost of a few canonical evaluations per step.  The
+oracle screens whole subtrees of layouts the same way.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -47,11 +48,13 @@ from .geodata import Scenario, ValidationError
 FEASIBILITY_TOL = 1e-9
 IMPROVEMENT_TOL = 1e-12
 DEFAULT_MAX_POOL = 15
-# the oracle scores ~150k layouts a second on a 144-point city (2 CPUs,
-# numpy 2.4), so 2**24 of them take ~2 min
+# on 12x12 cities the oracle's bounds leave at most a few hundred of the
+# 2**24 layouts to score (0.1-2 s, 2 CPUs), but nothing bounds the
+# subtrees they cannot prune, which at worst are all of them
 MAX_POOL_CEILING = 24
-# bytes of W one block of oracle layouts gathers (demand x layout x open
-# site); it bounds the oracle's working set, whatever the pool
+# bytes of W one confirming evaluate_block call of the oracle gathers
+# (demand x layout x open site); it bounds the oracle's working set on
+# large cities, while a node's children fit in one call on small ones
 ORACLE_BLOCK_BYTES = 512 * 1024
 DEFAULT_BUDGET = 1000
 
@@ -61,7 +64,7 @@ _TINY = float(np.finfo(float).tiny)
 
 
 class CandidatePoolError(RuntimeError):
-    """Exhaustive enumeration refused: candidate pool exceeds the cap."""
+    """The oracle refused: the candidate pool exceeds the cap."""
 
 
 @dataclass(frozen=True)
@@ -263,26 +266,32 @@ class _MoveBlock:
     ``base[g][:, None] + added[g]``: ``added[g]`` is ``gamma * W`` of the
     site each column opens (a zero column opens none), and ``base[g]`` is
     the canonical field F of the current layout, less ``gamma * W`` of the
-    site the move closes, if any.
+    site the move closes, if any.  With ``added_high``, column j stands for
+    every layout whose field lies between ``base + added`` and ``base +
+    added_high``: the oracle's subtrees, where F is a node's field summed
+    column by column and ``added_high`` sums the columns a subtree may add.
 
     Every entry of W is >= 0, so a sum of n entries in any order is off by
     at most n unit roundoffs times its value.  A screened field and the
     canonical field of the same layout therefore differ by at most
     ``field_tol * (F + added)`` per row, which is twice the worst case of
     both sides together; the spare half absorbs the rounding of the bounds
-    themselves.  The objective and the shortfall are sums of at most D
-    squares, so their lower bounds give up the relative slack ``sum_tol``.
-    All of this assumes finite inputs, which ObjectiveParams and the
-    parsers enforce.
+    themselves, and the at most S further roundoffs of a node's field and
+    of ``added_high``.  The objective and the shortfall are sums of at most
+    D squares, so their lower bounds give up the relative slack
+    ``sum_tol``; the objective is also at least ``alpha * k`` exactly, as
+    rounding is monotone.  All of this assumes finite inputs, which
+    ObjectiveParams and the parsers enforce.
     """
 
-    def __init__(self, ev: _Evaluator, fields, added):
+    def __init__(self, ev: _Evaluator, fields, added, added_high=None):
         self.ev = ev
         self.low_added, self.high_added = {}, {}
         for g, block in added.items():
-            err = ev.field_tol * (fields[g][:, None] + block) + _TINY
+            high = block if added_high is None else added_high[g]
+            err = ev.field_tol * (fields[g][:, None] + high) + _TINY
             self.low_added[g] = block - err
-            self.high_added[g] = block + err
+            self.high_added[g] = high + err
 
     def objective(self, base, n_open) -> np.ndarray:
         """Lower bounds on the objective; ``n_open`` is each move's k."""
@@ -294,7 +303,9 @@ class _MoveBlock:
         np.maximum(gap, above, out=gap)
         np.maximum(gap, 0.0, out=gap)
         squares = np.einsum("ij,ij->j", gap, gap)
-        return (p.alpha * n_open + p.beta * squares) * (1.0 - self.ev.sum_tol) - _TINY
+        floor = p.alpha * n_open
+        return np.maximum((floor + p.beta * squares) * (1.0 - self.ev.sum_tol) - _TINY,
+                          floor)
 
     def shortfall(self, base) -> np.ndarray:
         """Lower bounds on the total squared shortfall."""
@@ -535,34 +546,86 @@ def optimize(
     return _assemble_result(ev, matrices, open_ids, trace, bin_spec)
 
 
-def _least(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Those of ``rows`` whose value is the least among them."""
-    if not len(rows):
-        return rows
-    return rows[values[rows] == values[rows].min()]
+def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str, ...]:
+    """The least (objective, k, ids) of the layouts that qualify, as the ids.
 
+    A layout qualifies when it is feasible or, when ``least_shortfall`` is
+    given, when its total squared shortfall has exactly those bits.
+    ``best`` is the key of a layout that qualifies.
 
-def _subset_blocks(ev: _Evaluator):
-    """Every candidate subset, in blocks of subsets of one size.
-
-    Yields (picks, open_idx): ``picks`` holds each subset's ascending
-    positions in ``ev.candidate_ids``, ``open_idx`` the ascending site
-    columns its layout opens, the existing sites included.
+    Depth first over the subset tree: a node is a set of picks, and its
+    children add one candidate after the last pick, in ``candidate_ids``
+    order, so each subset is one node.  Every layout below a child has the
+    child's picks and a subset of the later candidates, so its field lies
+    between the child's field and the field with all later candidates
+    open.  An expanded node screens all of its children in one
+    ``_MoveBlock``, two columns a child: its own layout, and the layouts
+    below it.  The child layouts that may win are confirmed in one
+    ``evaluate_block`` call (more only past ``ORACLE_BLOCK_BYTES``), and
+    then the subtrees that may still win are pushed.
     """
-    columns = np.array([ev.site_index[c] for c in ev.candidate_ids], dtype=np.intp)
+    ids = ev.candidate_ids
+    cand_cols = np.array([ev.site_index[c] for c in ids], dtype=np.intp)
     existing = np.array(ev.existing_idx, dtype=np.intp)
-    for k in range(len(columns) + 1):
+    cols = {g: ev.columns(g, ids) for g in ev.catchments}
+    # screen column 2j is the child that opens candidate j, column 2j + 1
+    # every layout below it: it may add any candidate after j
+    low, high = {}, {}
+    for g, c in cols.items():
+        low[g] = np.repeat(c, 2, axis=1)
+        high[g] = low[g].copy()
+        high[g][:, 1::2] = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+    below = np.arange(2 * len(ids)) % 2
+
+    def qualifies(objective, feasible, shortfall):
+        return feasible if least_shortfall is None else shortfall == least_shortfall
+
+    def may_qualify(screen, base):
+        if least_shortfall is None:
+            return screen.maybe_feasible(base)
+        return screen.shortfall(base) <= least_shortfall
+
+    def may_win(bound, k):
+        # an exact tie on the objective leaves (k, ids) to decide
+        return (bound < best[0]) | ((bound == best[0]) & (k <= best[1]))
+
+    empty = ev.evaluate(())
+    if qualifies(*empty):
+        best = min(best, (empty[0], 0, ()))
+    stack = [((), ev.fields(()), -math.inf)]
+    while stack:
+        picks, fields, bound = stack.pop()
+        start = picks[-1] + 1 if picks else 0
+        k = len(picks) + 1
+        if start == len(ids) or not may_win(bound, k):
+            continue
+        screen = _MoveBlock(ev, fields, {g: b[:, 2 * start:] for g, b in low.items()},
+                            {g: b[:, 2 * start:] for g, b in high.items()})
+        n_open = k + below[2 * start:]
+        bounds = screen.objective(fields, n_open)
+        maybe = may_qualify(screen, fields)
+        confirm = np.flatnonzero(maybe[::2] & may_win(bounds[::2], k))
         width = len(existing) + k
         rows = max(1, ORACLE_BLOCK_BYTES // (8 * max(1, ev.n_demands * width)))
-        combos = itertools.combinations(range(len(columns)), k)
-        while chunk := list(itertools.islice(combos, rows)):
-            picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            open_idx = np.concatenate(
-                (np.broadcast_to(existing, (len(chunk), len(existing))), columns[picks]),
-                axis=1,
-            )
+        for at in range(0, len(confirm), rows):
+            js = start + confirm[at:at + rows]
+            open_idx = np.empty((len(js), width), dtype=np.intp)
+            open_idx[:, :len(existing)] = existing
+            open_idx[:, len(existing):-1] = cand_cols[list(picks)]
+            open_idx[:, -1] = cand_cols[js]
             open_idx.sort(axis=1)
-            yield picks, open_idx
+            objective, feasible, shortfall = ev.evaluate_block(open_idx)
+            for r in np.flatnonzero(qualifies(objective, feasible, shortfall)
+                                    & (objective <= best[0])):
+                best = min(best, (float(objective[r]), k,
+                                  tuple(ids[i] for i in (*picks, js[r]))))
+        # the last candidate has nothing below it
+        expand = np.flatnonzero(maybe[1:-1:2] & may_win(bounds[1:-1:2], k + 1))
+        for t in expand[::-1]:
+            j = start + t
+            child = {g: fields[g] + cols[g][:, j] for g in cols}
+            stack.append(((*picks, j), child, bounds[2 * t + 1]))
+    return best[2]
 
 
 def exhaustive_oracle(
@@ -572,41 +635,50 @@ def exhaustive_oracle(
     max_pool: int = DEFAULT_MAX_POOL,
     bins=None,
 ) -> OptimizationResult:
-    """Ground truth by enumerating every candidate subset.
+    """Ground truth: the optimum over every candidate subset, certified exactly.
 
     Returns the minimum-objective feasible layout (ties: fewer sites, then
     lexicographically smallest id set).  If no subset is feasible, returns
     the subset with the smallest total shortfall, marked infeasible (ties:
     smaller objective, fewer sites, then smallest id set).
 
-    Subsets are scored in blocks of one size through
-    ``_Evaluator.evaluate_block``, which gives each the bits ``evaluate``
-    gives it alone; only the rows tied for a block's least value are
-    compared by their full keys.
+    The search is a branch and bound over the subset tree, seeded with
+    greedy construction and local search.  Every entry of W is >= 0, so a
+    subtree's fields lie between those of its least and its fullest
+    layout, which ``_MoveBlock`` turns into certain lower bounds on the
+    objective and the shortfall, and a certain verdict on subtrees that
+    must be infeasible, with slack for rounding.  The objective is also at
+    least ``alpha * k`` exactly, since rounding is monotone and the beta
+    term is >= 0.  A subtree is pruned only when its bound exceeds the
+    incumbent's objective, or equals it with more sites than the
+    incumbent, so every exact tie reaches its key comparison.  Layouts are
+    scored only by ``_Evaluator.evaluate_block``, so the result has the
+    bits of scoring every subset.
+
+    The canonical field is a left-to-right sum of non-negative terms, and
+    rounding to nearest is monotone, so opening a site never lowers any
+    score, nor raises the shortfall, by a single bit.  Hence some layout is
+    feasible iff the all-open one is (greedy construction ends there when
+    none is), and the least shortfall is the all-open layout's.  Without a
+    feasible layout the search looks for the least (objective, k, ids)
+    among the layouts with exactly that shortfall.
     """
     check_max_pool(max_pool)
     bin_spec = _resolve_bins(params, bins)
     pool = len(scenario.candidate_site_ids)
     if pool > max_pool:
         raise CandidatePoolError(
-            f"{pool} candidate sites exceed the enumeration cap of {max_pool}"
+            f"{pool} candidate sites exceed the oracle's cap of {max_pool}"
         )
     ev = _Evaluator(scenario, matrices, params)
-    ids = ev.candidate_ids
-    best_feasible = None
-    best_any = None
-    for picks, open_idx in _subset_blocks(ev):
-        objective, feasible, shortfall = ev.evaluate_block(open_idx)
-        k = picks.shape[1]
-        for r in _least(objective, np.flatnonzero(feasible)):
-            key = (float(objective[r]), k, tuple(ids[i] for i in picks[r]))
-            if best_feasible is None or key < best_feasible:
-                best_feasible = key
-        rows = _least(shortfall, np.arange(len(picks)))
-        for r in _least(objective, rows):
-            key = (float(shortfall[r]), float(objective[r]), k,
-                   tuple(ids[i] for i in picks[r]))
-            if best_any is None or key < best_any:
-                best_any = key
-    chosen = best_feasible[2] if best_feasible is not None else best_any[3]
+    open_ids, _ = _greedy(ev)
+    objective, feasible, shortfall = ev.evaluate(open_ids)
+    least_shortfall = None
+    if feasible:
+        open_ids, _ = _local_search(ev, open_ids, DEFAULT_BUDGET)
+        objective = ev.objective(open_ids)
+    else:
+        least_shortfall = shortfall
+    incumbent = (objective, len(open_ids), tuple(sorted(open_ids)))
+    chosen = _branch_and_bound(ev, incumbent, least_shortfall)
     return _assemble_result(ev, matrices, chosen, (), bin_spec)

@@ -77,6 +77,15 @@ class TestParseNetwork:
         with pytest.raises(ValidationError, match="duplicate edge"):
             parse_network(nodes, edges)
 
+    def test_duplicate_edge_located(self, tmp_path):
+        nodes = write(tmp_path / "n.csv", NODES_OK)
+        edges = write(
+            tmp_path / "e.csv",
+            "from_id,to_id,length_m,bidirectional\na,b,100,0\nb,a,90,0\nb,a,80,1\n",
+        )
+        with pytest.raises(ValidationError, match=r"e\.csv:4: duplicate edge b->a"):
+            parse_network(nodes, edges)
+
     def test_opposed_oneways_allowed(self, tmp_path):
         nodes = write(tmp_path / "n.csv", NODES_OK)
         edges = write(
@@ -112,6 +121,12 @@ class TestParseDemand:
         path = write(tmp_path / "d.csv", "demand_id,lon,lat,pop_general,pop_elderly\n")
         assert parse_demand(path, self.GROUPS) == []
 
+    def test_duplicate_demand_id_located(self, tmp_path):
+        path = write(tmp_path / "d.csv", "demand_id,lon,lat,pop_general\n"
+                     "d1,118.7,32.0,10\nd2,118.7,32.0,10\nd1,118.8,32.0,5\n")
+        with pytest.raises(ValidationError, match=r"d\.csv:4: duplicate demand_id 'd1'"):
+            parse_demand(path, [GENERAL])
+
     def test_missing_group_column(self, tmp_path):
         path = write(tmp_path / "d.csv", "demand_id,lon,lat,pop_general\nd1,1,1,5\n")
         with pytest.raises(SchemaError, match="pop_elderly"):
@@ -145,6 +160,12 @@ class TestParseSites:
         (s,) = parse_sites(path)
         assert s.capacity == 800.0
         assert not s.existing
+
+    def test_duplicate_site_id_located(self, tmp_path):
+        path = write(tmp_path / "s.csv", "site_id,lon,lat,status,capacity\n"
+                     "s1,118.7,32.0,existing,\ns1,118.8,32.0,candidate,5\n")
+        with pytest.raises(ValidationError, match=r"s\.csv:3: duplicate site_id 's1'"):
+            parse_sites(path)
 
     def test_unknown_status(self, tmp_path):
         path = write(tmp_path / "s.csv", "site_id,lon,lat,status,capacity\ns1,118.7,32.0,open,\n")

@@ -1,14 +1,16 @@
-"""The block-scored oracle against a loop that scores one layout at a time.
+"""The branch-and-bound oracle against a loop that scores every layout.
 
 ``reference_evaluate`` scores a layout from the per-layout fields of
 ``_Catchment.field`` with 1-D sums, and ``reference_oracle`` walks every
-candidate mask with it, as the oracle did before it scored layouts in
-blocks.  Both are slow and plainly correct, so the oracle must reproduce
-them exactly: the same layout, objective bits, feasibility and shortfalls,
-and on small pools the same bits for every layout.
+candidate mask with it, as the oracle did before it searched.  Both are
+slow and plainly correct, so the oracle must reproduce them exactly: the
+same layout, objective bits, feasibility and shortfalls.  On small pools
+``evaluate_block`` must give every layout the bits of the 1-D path.
 """
 
+import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -21,13 +23,12 @@ from accessopt.optimizer import (
     FEASIBILITY_TOL,
     ObjectiveParams,
     _Evaluator,
-    _subset_blocks,
     exhaustive_oracle,
 )
 from accessopt.routing import build_travel_time_matrices
 
 from conftest import GENERAL, random_scenario, table_scenario
-from test_search_reference import with_duplicates
+from test_search_reference import weaken_bounds, with_duplicates
 
 N_RANDOM = 48
 # small enough that a block holds a few layouts and ties cross blocks
@@ -154,10 +155,56 @@ def shortfall_tie_instance():
     return scenario, matrices, ObjectiveParams(alpha=0.0, a_sigma=0.9)
 
 
+def pool16_instance(seed, **params):
+    """A 12x12 city with 4 existing sites and 16 candidates, as the
+    benchmark's oracle cities."""
+    scenario = generate_synthetic_scenario(seed, grid_rows=12, grid_cols=12,
+                                           n_existing=4, n_candidate=16)
+    return scenario, build_travel_time_matrices(scenario), ObjectiveParams(**params)
+
+
+def shortfall_subtrees_instance():
+    """Sixteen demand points no site reaches fix the least shortfall; every
+    layout that also covers d1 and d2 reaches it: {c1}, {c2, c3} and {c4}
+    lie in different subtrees, and the objective picks {c4}, the last."""
+    unreached = [(f"u{i}", {"general": 500}) for i in range(16)]
+    none = [math.inf] * 4
+    scenario, matrices = table_scenario(
+        [("d1", {"general": 1000}), ("d2", {"general": 1000}), *unreached],
+        [("c1", "candidate", 3000.0), ("c2", "candidate", 1000.0),
+         ("c3", "candidate", 1200.0), ("c4", "candidate", 2000.0)],
+        (GENERAL,),
+        {"general": [[0.0, 0.0, math.inf, 0.0], [0.0, math.inf, 0.0, 0.0]]
+         + [none] * len(unreached)},
+    )
+    # at this target the sixteen squared shortfalls sum to more in the
+    # screen's order than in the canonical one, so a shortfall bound
+    # without rounding slack would prune the winner
+    return scenario, matrices, ObjectiveParams(a_sigma=0.9)
+
+
+def on_the_floor_instance():
+    """random33 with a target whose feasibility floor is, to the bit, the
+    least score of the optimum: a screen without slack on the fields rounds
+    that score below the floor and prunes the optimum."""
+    scenario, matrices, params = random_instance(33)
+    return scenario, matrices, dataclasses.replace(params, a_sigma=0.89953019418555)
+
+
 INSTANCES = {f"random{seed}": functools.partial(random_instance, seed)
              for seed in range(N_RANDOM)}
 INSTANCES["city4"] = city_instance
 INSTANCES["shortfall_tie"] = shortfall_tie_instance
+INSTANCES["shortfall_subtrees"] = shortfall_subtrees_instance
+INSTANCES["on_the_floor"] = on_the_floor_instance
+# flat objectives (every feasible layout ties, or every one of a size) and
+# an infeasible city
+INSTANCES["flat_city1"] = functools.partial(pool16_instance, 1, alpha=0.0, beta=0.0)
+INSTANCES["flat_city2"] = functools.partial(pool16_instance, 2, alpha=0.0, beta=0.0,
+                                            a_sigma=0.01)
+INSTANCES["count_city1"] = functools.partial(pool16_instance, 1, beta=0.0)
+INSTANCES["count_city2"] = functools.partial(pool16_instance, 2, beta=0.0, a_sigma=0.01)
+INSTANCES["city5"] = functools.partial(pool16_instance, 5)
 
 
 @functools.lru_cache(maxsize=None)
@@ -167,31 +214,54 @@ def reference(name):
     return (scenario, matrices, params), ev, reference_oracle(ev)
 
 
+def assert_oracle_equals_reference(name):
+    (scenario, matrices, params), ev, (chosen, _, scores) = reference(name)
+    result = exhaustive_oracle(scenario, matrices, params, max_pool=16)
+    objective, feasible, _ = scores[chosen]
+    assert result.layout.open_candidates == frozenset(chosen), name
+    assert bits(result.objective) == bits(objective), name
+    assert result.feasible == feasible, name
+    assert result.shortfalls == ev.shortfalls(chosen), name
+
+
 @pytest.mark.parametrize("block_bytes", [optimizer.ORACLE_BLOCK_BYTES, TINY_BLOCK_BYTES])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_oracle_equals_reference(name, block_bytes, monkeypatch):
     monkeypatch.setattr(optimizer, "ORACLE_BLOCK_BYTES", block_bytes)
-    (scenario, matrices, params), ev, (chosen, _, scores) = reference(name)
-    result = exhaustive_oracle(scenario, matrices, params, max_pool=16)
-    objective, feasible, _ = scores[chosen]
-    assert result.layout.open_candidates == frozenset(chosen)
-    assert bits(result.objective) == bits(objective)
-    assert result.feasible == feasible
-    assert result.shortfalls == ev.shortfalls(chosen)
+    assert_oracle_equals_reference(name)
+
+
+def subset_blocks(ev, block_bytes):
+    """Every candidate subset, in blocks of equal-size subsets of at most
+    ``block_bytes`` of gathered W: (picks, open_idx), each subset's positions
+    in ``ev.candidate_ids`` and the ascending columns of its layout."""
+    columns = np.array([ev.site_index[c] for c in ev.candidate_ids], dtype=np.intp)
+    existing = np.array(ev.existing_idx, dtype=np.intp)
+    for k in range(len(columns) + 1):
+        width = len(existing) + k
+        rows = max(1, block_bytes // (8 * max(1, ev.n_demands * width)))
+        combos = itertools.combinations(range(len(columns)), k)
+        while chunk := list(itertools.islice(combos, rows)):
+            picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
+            open_idx = np.concatenate(
+                (np.broadcast_to(existing, (len(chunk), len(existing))), columns[picks]),
+                axis=1,
+            )
+            open_idx.sort(axis=1)
+            yield picks, open_idx
 
 
 @pytest.mark.parametrize("block_bytes", [optimizer.ORACLE_BLOCK_BYTES, TINY_BLOCK_BYTES])
-def test_every_block_row_equals_reference(block_bytes, monkeypatch):
-    """On pools up to 8, every layout comes once, scored in its block with
-    the bits of the 1-D path."""
-    monkeypatch.setattr(optimizer, "ORACLE_BLOCK_BYTES", block_bytes)
+def test_every_block_row_equals_reference(block_bytes):
+    """On pools up to 8, every layout comes once, scored in a block of its
+    size with the bits of the 1-D path."""
     checked = 0
     for name in sorted(INSTANCES):
         (_, _, _), ev, (_, _, scores) = reference(name)
         if len(ev.candidate_ids) > 8:
             continue
         seen = []
-        for picks, open_idx in _subset_blocks(ev):
+        for picks, open_idx in subset_blocks(ev, block_bytes):
             objective, feasible, shortfall = ev.evaluate_block(open_idx)
             for r, row in enumerate(picks):
                 subset = tuple(ev.candidate_ids[i] for i in row)
@@ -204,6 +274,34 @@ def test_every_block_row_equals_reference(block_bytes, monkeypatch):
         assert sorted(seen) == sorted(scores), name
         checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_any_valid_bounds_give_the_same_oracle(seed, monkeypatch):
+    """Randomly weakened bounds are still bounds, so the oracle must not
+    change; they let more subtrees and ties through to the key comparison."""
+    weaken_bounds(monkeypatch, seed)
+    for name in sorted(INSTANCES):
+        if len(reference(name)[1].candidate_ids) <= 10:
+            assert_oracle_equals_reference(name)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 6])
+def test_oracle_scores_few_layouts(seed, monkeypatch):
+    """On the benchmark's pool of 16 the bounds leave at most 1 % of the
+    2**16 layouts to score, greedy construction and local search included."""
+    rows = []
+    evaluate_block = _Evaluator.evaluate_block
+
+    def counted(self, open_idx):
+        rows.append(len(open_idx))
+        return evaluate_block(self, open_idx)
+
+    scenario, matrices, params = pool16_instance(seed)
+    monkeypatch.setattr(_Evaluator, "evaluate_block", counted)
+    result = exhaustive_oracle(scenario, matrices, params, max_pool=16)
+    assert result.feasible
+    assert sum(rows) <= 2**16 // 100
 
 
 def test_instances_cover_every_case():
@@ -225,6 +323,12 @@ def test_instances_cover_every_case():
             cases.add("no existing sites")
         if not scenario.candidate_site_ids:
             cases.add("no candidates")
+        if params.alpha == params.beta == 0.0 and feasible:
+            cases.add("flat objective")
+        fields = ev.fields(chosen)
+        if any(np.any(fields[g][ev.pos_mask[g]] == params.a_sigma - FEASIBILITY_TOL)
+               for g in params.constraint_groups):
+            cases.add("chosen score on the floor")
         # another layout whose key differs from the chosen one only after
         # the float: the tie-break on (k, ids) decides
         tied = [s for s, (o, f, sf) in scores.items() if s != chosen and (
@@ -240,9 +344,15 @@ def test_instances_cover_every_case():
                 sf == shortfall and (len(s), s) < (len(chosen), chosen)
                 for s, (_, _, sf) in scores.items()):
             cases.add("objective decides a shortfall tie")
+        # the least shortfall in more than one subtree of the search: layouts
+        # whose least candidate differs
+        if not feasible and len({s[:1] for s, (_, _, sf) in scores.items()
+                                 if sf == shortfall}) > 1:
+            cases.add("least shortfall in two subtrees")
     assert cases == {
         "feasible", "infeasible", "gamma", "alpha,beta", "two constraint groups",
         "primary not constrained", "no existing sites", "no candidates",
         "exact tie, feasible", "exact tie, infeasible", "exact tie across k",
-        "objective decides a shortfall tie",
+        "objective decides a shortfall tie", "flat objective",
+        "least shortfall in two subtrees", "chosen score on the floor",
     }

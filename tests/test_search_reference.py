@@ -299,11 +299,8 @@ def test_bounds_hold_for_long_sums():
         assert_bounds_hold(ev, {"s0"}, tight=False)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_any_valid_bounds_give_the_same_search(seed, monkeypatch):
-    """Randomly weakened bounds are still bounds, so the search must not
-    change; they scramble the order of confirmation, which exercises the
-    stopping rules and the tie-breaks that a tight screen rarely reaches."""
+def weaken_bounds(monkeypatch, seed):
+    """Make every ``_MoveBlock`` bound randomly weaker, but still a bound."""
     rng = np.random.default_rng(seed)
 
     def loosen(method):
@@ -321,6 +318,14 @@ def test_any_valid_bounds_give_the_same_search(seed, monkeypatch):
     monkeypatch.setattr(_MoveBlock, "objective", loosen(_MoveBlock.objective))
     monkeypatch.setattr(_MoveBlock, "shortfall", loosen(_MoveBlock.shortfall))
     monkeypatch.setattr(_MoveBlock, "maybe_feasible", doubt(_MoveBlock.maybe_feasible))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_any_valid_bounds_give_the_same_search(seed, monkeypatch):
+    """Randomly weakened bounds are still bounds, so the search must not
+    change; they scramble the order of confirmation, which exercises the
+    stopping rules and the tie-breaks that a tight screen rarely reaches."""
+    weaken_bounds(monkeypatch, seed)
     for name in sorted(INSTANCES):
         (scenario, matrices, params), (trace, _), _, _ = outcome(name)
         assert optimize(scenario, matrices, params).trace == tuple(trace), name
