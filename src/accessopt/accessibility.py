@@ -12,12 +12,12 @@ which falls from 1 at t = 0 to exactly 0 at the threshold t_sigma and is 0
 beyond it.
 
 One ``_Catchment`` per group computes the site ratios and ``W = weights *
-ratios`` once; a score is ``gamma * W[:, open].sum(axis=-1)`` over the open
-columns in ascending order, for one layout or a block of equal-size ones.
-Scoring, the conservation check and the search all read it, so they agree
-to the bit.  The gathered columns are added one after another, left to
-right, not pairwise; any other order, such as a pairwise sum of a row's
-non-zero entries, would round differently and change the published scores.
+ratios`` once, stored site-major: one row of demand values per site.  A
+layout's score is ``gamma`` times the sum of its open sites' rows, added one
+after another in ascending site order.  Scoring, the conservation check and
+the search all read it, so they agree to the bit.  Any other order, such as
+a pairwise sum of a demand point's non-zero entries, would round
+differently and change the published scores.
 """
 
 from __future__ import annotations
@@ -78,8 +78,10 @@ class AccessibilityField:
 
     def __post_init__(self):
         object.__setattr__(self, "scores", dict(self.scores))
-        if any(v < 0 for v in self.scores.values()):
-            raise ValidationError("accessibility scores must be non-negative")
+        for demand_id, score in self.scores.items():
+            if not (math.isfinite(score) and score >= 0):
+                raise ValidationError(f"accessibility score of '{demand_id}' must be "
+                                      f"finite and non-negative, got {score!r}")
 
     def vector(self) -> np.ndarray:
         return np.array(list(self.scores.values()), dtype=float)
@@ -91,7 +93,7 @@ class SupplyDemandRatio(NamedTuple):
 
 
 class _Catchment:
-    """One group's site ratios and decay-weighted ratios ``W`` (demand x site).
+    """One group's site ratios and decay-weighted ratios ``W`` (site x demand).
 
     The matrix rows and columns must follow the demand and site order.  An
     idle site, with no weighted demand in reach, gets ratio 0.
@@ -111,23 +113,26 @@ class _Catchment:
         supply = np.array([s.capacity for s in sites], dtype=float)
         self.ratios = np.zeros_like(denom)
         np.divide(supply, denom, out=self.ratios, where=denom > 0.0)
-        self.W = weights * self.ratios[None, :]
+        self.W = np.multiply(weights.T, self.ratios[:, None], order="C")
 
-    def field(self, open_idx, gamma: float) -> np.ndarray:
-        """Score of every demand point under one layout or a block of them.
+    def field(self, open_idx: np.ndarray, gamma: float) -> np.ndarray:
+        """Score of every demand point under each of a block of layouts.
 
-        ``open_idx`` is one layout's ascending column indices, giving a
-        (demand,) vector, or a (B, k) integer array of B layouts, each row
-        ascending, giving (demand, B).  Either way the gather lays each
-        layout's k columns out as whole demand vectors, and numpy adds them
-        one after another in ascending column order, so a layout scored in
-        a block has the bits it has scored alone.
+        ``open_idx`` is a (B, k) integer array, one layout's ascending site
+        indices a row; the result is (B, demand), one layout a row.  Each
+        layout's k rows of ``W`` are added one after another in ascending
+        site order, so a layout has the same bits in any block.
         """
-        return gamma * self.W[:, open_idx].sum(axis=-1)
+        out = np.zeros((len(open_idx), self.W.shape[1]))
+        for row, idx in zip(out, open_idx):
+            # along the slow axis numpy adds whole rows in order, never pairwise
+            np.add.reduce(self.W[idx], axis=0, out=row)
+        return gamma * out
 
-    def scores(self, open_idx: Sequence[int], gamma: float) -> AccessibilityField:
-        scores = dict(zip(self.demand_ids, self.field(open_idx, gamma).tolist()))
-        return AccessibilityField(self.group, scores, gamma)
+    def scores(self, open_idx: np.ndarray, gamma: float) -> AccessibilityField:
+        """The field of the one layout of a (1, k) ``open_idx``, by demand id."""
+        field = self.field(open_idx, gamma)[0].tolist()
+        return AccessibilityField(self.group, dict(zip(self.demand_ids, field)), gamma)
 
 
 def supply_demand_ratio(
@@ -176,7 +181,8 @@ def accessibility_scores(
     unknown = sorted(open_set - set(scenario.site_ids))
     if unknown:
         raise ValidationError(f"unknown site id(s) in open set: {', '.join(unknown)}")
-    open_idx = [j for j, sid in enumerate(matrix.site_order) if sid in open_set]
+    open_idx = np.array([[j for j, sid in enumerate(matrix.site_order) if sid in open_set]],
+                        dtype=np.intp)
     return _Catchment(matrix, scenario.demands, scenario.sites).scores(open_idx, gamma)
 
 
@@ -284,8 +290,12 @@ def conservation_check(
     """
     if field.gamma != 1.0:
         raise ValidationError("conservation identity requires gamma = 1")
+    if field.group != matrix.group.name:
+        raise ValidationError(f"field of group '{field.group}' is not the matrix's group")
     open_set = set(open_sites)
     catchment = _Catchment(matrix, scenario.demands, scenario.sites)
+    if set(field.scores) != set(catchment.demand_ids):
+        raise ValidationError("field scores do not cover exactly the matrix's demand")
     supply = sum(
         s.capacity
         for j, s in enumerate(scenario.sites)
@@ -293,5 +303,5 @@ def conservation_check(
     )
     if supply <= 0.0:
         return 0.0
-    served = float(np.sum(catchment.pop * field.vector()))
+    served = float(np.sum(catchment.pop * [field.scores[d] for d in catchment.demand_ids]))
     return abs(served - supply) / supply

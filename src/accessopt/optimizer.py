@@ -11,7 +11,7 @@ and bound over candidate subsets doubles as ground truth on pools of up to
 
 Each search step screens, then confirms.  The screen costs every move of
 the step at once from the current layout's field: the field after a move
-is ``F - gamma * W[:, out] + gamma * W[:, in]``, and a rounding-error bound
+is ``F - gamma * W[out] + gamma * W[in]``, and a rounding-error bound
 turns it into a certain lower bound on the move's objective and shortfall,
 and a certain verdict on moves that must be infeasible.  Moves that cannot
 win are dropped; the rest are evaluated canonically in order of their lower
@@ -52,10 +52,6 @@ DEFAULT_MAX_POOL = 15
 # 2**24 layouts to score (0.1-2 s, 2 CPUs), but nothing bounds the
 # subtrees they cannot prune, which at worst are all of them
 MAX_POOL_CEILING = 24
-# bytes of W one confirming evaluate_block call of the oracle gathers
-# (demand x layout x open site); it bounds the oracle's working set on
-# large cities, while a node's children fit in one call on small ones
-ORACLE_BLOCK_BYTES = 512 * 1024
 DEFAULT_BUDGET = 1000
 
 _EPS = float(np.finfo(float).eps)
@@ -162,13 +158,12 @@ def _catchment(scenario: Scenario, matrices, name: str) -> _Catchment:
 class _Evaluator:
     """Scores layouts from the ``_Catchment`` of each primary or constraint group.
 
-    The score of demand i under an open set S is the (gamma-scaled) sum of
-    row i of the catchment's W over the open columns; W never changes during
-    the search.  The catchment adds the open columns in ascending site
-    order, as ``accessibility_scores`` does, so ``evaluate`` is
-    bit-reproducible: it is the canonical value on which every search
-    decision is made, and ``evaluate_block`` gives each of a block of
-    layouts the same bits.
+    The field of an open set S is the (gamma-scaled) sum of the rows of the
+    catchment's site-major W for the sites in S; W never changes during
+    the search.  The catchment adds the open rows in ascending site order,
+    as ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible:
+    it is the canonical value on which every search decision is made, and
+    ``evaluate_block`` gives each of a block of layouts the same bits.
     ``_MoveBlock`` screens moves from fields that are not summed
     canonically, within the rounding bounds ``field_tol`` and ``sum_tol``.
     """
@@ -191,45 +186,42 @@ class _Evaluator:
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
         self.sum_tol = 2 * (self.n_demands + len(self.catchments) + 16) * _EPS
 
-    def open_indices(self, open_candidates) -> list[int]:
+    def open_indices(self, open_candidates) -> np.ndarray:
+        """The layout's open sites, existing ones included, as a (1, k) row."""
         idx = list(self.existing_idx)
         idx.extend(self.site_index[c] for c in open_candidates)
         idx.sort()
-        return idx
+        return np.array([idx], dtype=np.intp)
 
     def fields(self, open_candidates) -> dict[str, np.ndarray]:
         open_idx = self.open_indices(open_candidates)
-        return {g: c.field(open_idx, self.params.gamma)
+        return {g: c.field(open_idx, self.params.gamma)[0]
                 for g, c in self.catchments.items()}
 
     def columns(self, group: str, site_ids) -> np.ndarray:
         """gamma * W for these sites, one column each (D x len(site_ids))."""
-        return self.params.gamma * self.catchments[group].W[
-            :, [self.site_index[s] for s in site_ids]
-        ]
+        rows = self.catchments[group].W[[self.site_index[s] for s in site_ids]]
+        return (self.params.gamma * rows).T
 
     def evaluate_block(self, open_idx: np.ndarray):
         """(objective, feasible, total squared shortfall) arrays for B layouts.
 
         ``open_idx`` is a (B, n) integer array: each row one layout's open
-        site columns in ascending order, the existing sites included, so
-        every layout opens n - len(existing_idx) candidates.  Every sum
-        over demand points runs along the last axis of a C-contiguous
-        (B, D) or (B, P) array: numpy sums such a row pairwise, exactly as
-        it sums one layout's vector, so each row has the bits of the layout
-        scored alone.
+        site indices in ascending order, the existing sites included, so
+        every layout opens n - len(existing_idx) candidates.  Each layout is
+        scored alone from its n rows of W, and every sum over demand points
+        runs along one C-contiguous row, pairwise as for a single layout,
+        so a row has the bits ``evaluate`` gives its layout.
         """
         p = self.params
-        fields = {g: np.ascontiguousarray(c.field(open_idx, p.gamma).T)
-                  for g, c in self.catchments.items()}
+        fields = {g: c.field(open_idx, p.gamma) for g, c in self.catchments.items()}
         deviation = np.abs(fields[p.primary_group] - p.a_sigma)
         n_open = open_idx.shape[1] - len(self.existing_idx)
         objective = p.alpha * n_open + p.beta * np.sum(deviation**2, axis=-1)
         feasible = np.ones(len(open_idx), dtype=bool)
         shortfall = 0.0
         for g in p.constraint_groups:
-            # a column subset comes out column-major; copy it to rows
-            scores = np.ascontiguousarray(fields[g][:, self.pos_mask[g]])
+            scores = fields[g].compress(self.pos_mask[g], axis=1)
             feasible &= ~np.any(scores < p.a_sigma - FEASIBILITY_TOL, axis=-1)
             shortfall = shortfall + np.sum(np.maximum(0.0, p.a_sigma - scores) ** 2,
                                            axis=-1)
@@ -237,7 +229,7 @@ class _Evaluator:
 
     def evaluate(self, open_candidates) -> tuple[float, bool, float]:
         """(objective, feasible, total squared shortfall) for one layout."""
-        open_idx = np.array([self.open_indices(open_candidates)], dtype=np.intp)
+        open_idx = self.open_indices(open_candidates)
         objective, feasible, shortfall = self.evaluate_block(open_idx)
         return float(objective[0]), bool(feasible[0]), float(shortfall[0])
 
@@ -561,8 +553,8 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
     open.  An expanded node screens all of its children in one
     ``_MoveBlock``, two columns a child: its own layout, and the layouts
     below it.  The child layouts that may win are confirmed in one
-    ``evaluate_block`` call (more only past ``ORACLE_BLOCK_BYTES``), and
-    then the subtrees that may still win are pushed.
+    ``evaluate_block`` call, and then the subtrees that may still win are
+    pushed.
     """
     ids = ev.candidate_ids
     cand_cols = np.array([ev.site_index[c] for c in ids], dtype=np.intp)
@@ -604,12 +596,9 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
         n_open = k + below[2 * start:]
         bounds = screen.objective(fields, n_open)
         maybe = may_qualify(screen, fields)
-        confirm = np.flatnonzero(maybe[::2] & may_win(bounds[::2], k))
-        width = len(existing) + k
-        rows = max(1, ORACLE_BLOCK_BYTES // (8 * max(1, ev.n_demands * width)))
-        for at in range(0, len(confirm), rows):
-            js = start + confirm[at:at + rows]
-            open_idx = np.empty((len(js), width), dtype=np.intp)
+        js = start + np.flatnonzero(maybe[::2] & may_win(bounds[::2], k))
+        if len(js):
+            open_idx = np.empty((len(js), len(existing) + k), dtype=np.intp)
             open_idx[:, :len(existing)] = existing
             open_idx[:, len(existing):-1] = cand_cols[list(picks)]
             open_idx[:, -1] = cand_cols[js]

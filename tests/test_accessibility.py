@@ -1,9 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from accessopt.accessibility import (
+    AccessibilityField,
     DecayParams,
     accessibility_scores,
     conservation_check,
@@ -14,11 +16,11 @@ from accessopt.accessibility import (
     supply_demand_ratio,
     supply_demand_ratios,
 )
-from accessopt.geodata import ValidationError
+from accessopt.geodata import ValidationError, generate_synthetic_scenario
 from accessopt.optimizer import ObjectiveParams, exhaustive_oracle, optimize
 from accessopt.routing import build_travel_time_matrices
 
-from conftest import ELDERLY, GENERAL, random_scenario, table_scenario
+from conftest import ACCEPTANCE_SEED, ELDERLY, GENERAL, random_scenario, table_scenario
 
 # frozen from a 40-digit evaluation of the kernel and the worked example
 G_HALFWAY = 0.7013665732390042596728501
@@ -87,6 +89,15 @@ class TestDecayKernel:
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             DecayParams(0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def seed7_city():
+    """The seed-7 city and the general field with its existing sites open."""
+    sc = generate_synthetic_scenario(ACCEPTANCE_SEED)
+    mats = build_travel_time_matrices(sc)
+    existing = set(sc.existing_site_ids)
+    return sc, mats, existing, accessibility_scores(sc, mats["general"], existing)
 
 
 def worked_example():
@@ -233,6 +244,33 @@ class TestConservation:
         with pytest.raises(ValidationError, match="gamma"):
             conservation_check(field, sc, {"s1"}, mats["elderly"])
 
+    def test_scores_paired_by_demand_id(self):
+        """The order of the field's dict does not matter: each score meets
+        its own point's population."""
+        sc, mats, existing, field = seed7_city()
+        reordered = AccessibilityField(field.group, dict(reversed(field.scores.items())))
+        gap = conservation_check(field, sc, existing, mats["general"])
+        assert gap < 1e-12
+        assert conservation_check(reordered, sc, existing, mats["general"]) == gap
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_field_must_cover_the_matrix_demand(self, change):
+        sc, mats, existing, field = seed7_city()
+        scores = dict(field.scores)
+        if change == "missing":
+            scores = dict(list(scores.items())[:10])
+        else:
+            scores["elsewhere"] = 0.0
+        with pytest.raises(ValidationError, match="cover exactly"):
+            conservation_check(AccessibilityField(field.group, scores), sc, existing,
+                               mats["general"])
+
+    def test_field_must_be_the_matrix_group(self):
+        sc, mats, existing, _ = seed7_city()
+        elderly = accessibility_scores(sc, mats["elderly"], existing)
+        with pytest.raises(ValidationError, match="group 'elderly' is not the matrix's group"):
+            conservation_check(elderly, sc, existing, mats["general"])
+
 
 class TestHomogeneity:
     @pytest.mark.parametrize("seed", range(5))
@@ -338,6 +376,23 @@ class TestCoverage:
             "very-low", "low", "medium", "high", "very-high",
         ]
         assert [lower for _, lower in spec] == [0.0, 0.1, 0.2, 0.30000000000000004, 0.4]
+
+
+class TestNonFiniteScores:
+    """A NaN or infinite score is refused by name, not binned as a high one."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constructor(self, bad):
+        _, _, _, field = seed7_city()
+        with pytest.raises(ValidationError, match="'d0000' must be finite"):
+            AccessibilityField(field.group, dict(field.scores, d0000=bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_coverage_report(self, bad):
+        sc, _, _, field = seed7_city()
+        with pytest.raises(ValidationError, match="'d0000' must be finite"):
+            coverage_report(AccessibilityField(field.group, dict(field.scores, d0000=bad)),
+                            sc.demands, default_bins())
 
 
 class TestNonFiniteBins:

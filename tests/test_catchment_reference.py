@@ -4,7 +4,9 @@
 the search each computed before they read one ``_Catchment``: the decay
 weights, then the site ratios, then ``weights * ratios``, then the dense row
 sum over the open columns in ascending site order.  Every reader of the
-catchment must reproduce them to the bit.
+catchment must reproduce them to the bit.  ``left_to_right`` pins that
+order without numpy: one Python float per demand point, adding the open
+sites one after another.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from accessopt.accessibility import (
+    _Catchment,
     accessibility_scores,
     conservation_check,
     decay_weights,
@@ -47,6 +50,18 @@ def reference_field(scenario, matrix, open_sites, gamma):
     if not open_idx:
         return np.zeros(len(matrix.demand_order))
     return gamma * contributions[:, open_idx].sum(axis=1)
+
+
+def left_to_right(contributions, open_idx, gamma):
+    """gamma times each demand point's open entries, added in ascending site
+    order in Python floats."""
+    field = []
+    for row in contributions.tolist():
+        total = 0.0
+        for j in open_idx:
+            total += row[j]
+        field.append(gamma * total)
+    return field
 
 
 def random_instance(seed):
@@ -151,6 +166,28 @@ def test_result_fields_match_scores(seed, search):
         assert got.vector().tobytes() == field.vector().tobytes() == want.tobytes()
         assert list(got.scores) == list(field.scores)
         assert got.group == g.name and got.gamma == params.gamma
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_field_adds_open_sites_left_to_right(seed):
+    """Each layout of a block, and the layout alone, has the bits of the
+    plain left-to-right loop, for every layout size."""
+    scenario, matrices, params, rng = random_instance(seed)
+    n_sites = len(scenario.sites)
+    for g in GROUPS:
+        matrix = matrices[g.name]
+        weights, ratios = reference_ratios(matrix, scenario.demands, scenario.sites)
+        contributions = weights * ratios[None, :]
+        catchment = _Catchment(matrix, scenario.demands, scenario.sites)
+        for k in range(n_sites + 1):
+            block = np.array([np.sort(rng.permutation(n_sites)[:k]) for _ in range(5)],
+                             dtype=np.intp).reshape(5, k)
+            want = np.array([left_to_right(contributions, idx, params.gamma)
+                             for idx in block.tolist()])
+            assert catchment.field(block, params.gamma).tobytes() == want.tobytes()
+            for idx, row in zip(block, want):
+                alone = catchment.field(idx[None, :], params.gamma)
+                assert alone.tobytes() == row.tobytes()
 
 
 def test_columns_summed_in_another_order_change_bits():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,23 @@ class TestOracle:
             smaller = Layout(result.layout.open_candidates - {sid})
             ok, _ = is_feasible(smaller, sc, mats, p)
             assert not ok
+
+
+def test_block_is_scored_one_layout_at_a_time():
+    """24 all-open layouts of the seed-7 city (400 demand points, 56 sites)
+    gather one layout's 56 rows of W at a time: the peak stays far below the
+    4.3 MB that gathering all 24 layouts' rows at once would take."""
+    sc = generate_synthetic_scenario(ACCEPTANCE_SEED)
+    ev = _Evaluator(sc, build_travel_time_matrices(sc), params())
+    assert (ev.n_demands, len(sc.sites)) == (400, 56)
+    open_idx = np.tile(np.arange(len(sc.sites), dtype=np.intp), (24, 1))
+    tracemalloc.start()
+    try:
+        ev.evaluate_block(open_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 class TestOptimize:

@@ -16,7 +16,6 @@ import math
 import numpy as np
 import pytest
 
-from accessopt import optimizer
 from accessopt.accessibility import accessibility_scores
 from accessopt.geodata import generate_synthetic_scenario
 from accessopt.optimizer import (
@@ -31,8 +30,6 @@ from conftest import GENERAL, random_scenario, table_scenario
 from test_search_reference import weaken_bounds, with_duplicates
 
 N_RANDOM = 48
-# small enough that a block holds a few layouts and ties cross blocks
-TINY_BLOCK_BYTES = 4096
 
 
 def bits(x):
@@ -224,22 +221,37 @@ def assert_oracle_equals_reference(name):
     assert result.shortfalls == ev.shortfalls(chosen), name
 
 
-@pytest.mark.parametrize("block_bytes", [optimizer.ORACLE_BLOCK_BYTES, TINY_BLOCK_BYTES])
+def split_blocks(monkeypatch, block_bytes):
+    """Score every ``evaluate_block`` call in chunks of layouts that hold at
+    most ``block_bytes`` of W (layout x open site x demand point), one
+    layout at least, and join the chunks' results."""
+    evaluate_block = _Evaluator.evaluate_block
+
+    def split(self, open_idx):
+        rows = max(1, block_bytes // (8 * max(1, self.n_demands * open_idx.shape[1])))
+        parts = [evaluate_block(self, open_idx[at:at + rows])
+                 for at in range(0, len(open_idx), rows)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    monkeypatch.setattr(_Evaluator, "evaluate_block", split)
+
+
+# the oracle confirms a node's children in one call; 4096 bytes score the
+# children of the larger instances one at a time, 512 KiB leave them whole
+@pytest.mark.parametrize("block_bytes", [512 * 1024, 4096])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_oracle_equals_reference(name, block_bytes, monkeypatch):
-    monkeypatch.setattr(optimizer, "ORACLE_BLOCK_BYTES", block_bytes)
+    split_blocks(monkeypatch, block_bytes)
     assert_oracle_equals_reference(name)
 
 
-def subset_blocks(ev, block_bytes):
-    """Every candidate subset, in blocks of equal-size subsets of at most
-    ``block_bytes`` of gathered W: (picks, open_idx), each subset's positions
-    in ``ev.candidate_ids`` and the ascending columns of its layout."""
+def subset_blocks(ev, rows):
+    """Every candidate subset, in blocks of at most ``rows`` equal-size
+    subsets (all of a size when None): (picks, open_idx), each subset's
+    positions in ``ev.candidate_ids`` and the ascending sites of its layout."""
     columns = np.array([ev.site_index[c] for c in ev.candidate_ids], dtype=np.intp)
     existing = np.array(ev.existing_idx, dtype=np.intp)
     for k in range(len(columns) + 1):
-        width = len(existing) + k
-        rows = max(1, block_bytes // (8 * max(1, ev.n_demands * width)))
         combos = itertools.combinations(range(len(columns)), k)
         while chunk := list(itertools.islice(combos, rows)):
             picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
@@ -251,17 +263,18 @@ def subset_blocks(ev, block_bytes):
             yield picks, open_idx
 
 
-@pytest.mark.parametrize("block_bytes", [optimizer.ORACLE_BLOCK_BYTES, TINY_BLOCK_BYTES])
-def test_every_block_row_equals_reference(block_bytes):
-    """On pools up to 8, every layout comes once, scored in a block of its
-    size with the bits of the 1-D path."""
+@pytest.mark.parametrize("rows", [pytest.param(1, id="one-layout"),
+                                  pytest.param(None, id="whole-size")])
+def test_every_block_row_equals_reference(rows):
+    """On pools up to 8, every layout comes once, scored alone or in a block
+    of every subset of its size, with the bits of the 1-D path."""
     checked = 0
     for name in sorted(INSTANCES):
         (_, _, _), ev, (_, _, scores) = reference(name)
         if len(ev.candidate_ids) > 8:
             continue
         seen = []
-        for picks, open_idx in subset_blocks(ev, block_bytes):
+        for picks, open_idx in subset_blocks(ev, rows):
             objective, feasible, shortfall = ev.evaluate_block(open_idx)
             for r, row in enumerate(picks):
                 subset = tuple(ev.candidate_ids[i] for i in row)
