@@ -280,6 +280,8 @@ def _write_layout(out: Path, scenario: Scenario, open_ids, fields, coverage,
 def _bin_spec(cfg: RunConfig):
     """The checked coverage bins, resolved before the scenario is read."""
     if cfg.bins is None:
+        if cfg.bin_labels is not None:
+            raise ValidationError("bin_labels given without bins")
         spec = default_bins(cfg.a_sigma)
     else:
         labels = cfg.bin_labels
@@ -311,6 +313,11 @@ def _prepare(cfg: RunConfig):
 
 
 def _params(cfg: RunConfig) -> ObjectiveParams:
+    """The objective, checked against ``cfg.groups`` before the scenario is read."""
+    names = {g.name for g in cfg.groups}
+    for name in (cfg.primary_group, *cfg.constraint_groups):
+        if name not in names:
+            raise ValidationError(f"unknown group '{name}'")
     return ObjectiveParams(
         alpha=cfg.alpha,
         beta=cfg.beta,

@@ -82,6 +82,9 @@ class ObjectiveParams:
             raise ValidationError("gamma must be > 0")
         if not self.constraint_groups:
             raise ValidationError("at least one constraint group required")
+        for i, name in enumerate(self.constraint_groups):
+            if name in self.constraint_groups[:i]:
+                raise ValidationError(f"constraint group '{name}' is listed twice")
 
 
 @dataclass(frozen=True)
@@ -198,10 +201,10 @@ class _Evaluator:
         return {g: c.field(open_idx, self.params.gamma)[0]
                 for g, c in self.catchments.items()}
 
-    def columns(self, group: str, site_ids) -> np.ndarray:
-        """gamma * W for these sites, one column each (D x len(site_ids))."""
-        rows = self.catchments[group].W[[self.site_index[s] for s in site_ids]]
-        return (self.params.gamma * rows).T
+    def rows(self, group: str, site_ids) -> np.ndarray:
+        """gamma * W for these sites, one C-contiguous row each (len(site_ids) x D)."""
+        return self.params.gamma * self.catchments[group].W[
+            [self.site_index[s] for s in site_ids]]
 
     def evaluate_block(self, open_idx: np.ndarray):
         """(objective, feasible, total squared shortfall) arrays for B layouts.
@@ -252,28 +255,28 @@ class _Evaluator:
 
 
 class _MoveBlock:
-    """Certain bounds on ``evaluate`` for a block of moves, one per column.
+    """Certain bounds on ``evaluate`` for a block of moves, one per row.
 
     Every move of the block leaves group g with the screened field
-    ``base[g][:, None] + added[g]``: ``added[g]`` is ``gamma * W`` of the
-    site each column opens (a zero column opens none), and ``base[g]`` is
-    the canonical field F of the current layout, less ``gamma * W`` of the
-    site the move closes, if any.  With ``added_high``, column j stands for
-    every layout whose field lies between ``base + added`` and ``base +
-    added_high``: the oracle's subtrees, where F is a node's field summed
-    column by column and ``added_high`` sums the columns a subtree may add.
+    ``base[g] + added[g][q]``: row q of ``added[g]`` is ``gamma * W`` of the
+    site the move opens (a zero row opens none), and ``base[g]`` is the
+    canonical field F of the current layout, less ``gamma * W`` of the site
+    the move closes, if any.  With ``added_high``, row q stands for every
+    layout whose field lies between ``base + added[q]`` and ``base +
+    added_high[q]``: the oracle's subtrees, where F is a node's field summed
+    row by row and ``added_high`` sums the rows a subtree may add.
 
     Every entry of W is >= 0, so a sum of n entries in any order is off by
     at most n unit roundoffs times its value.  A screened field and the
     canonical field of the same layout therefore differ by at most
-    ``field_tol * (F + added)`` per row, which is twice the worst case of
-    both sides together; the spare half absorbs the rounding of the bounds
-    themselves, and the at most S further roundoffs of a node's field and
-    of ``added_high``.  The objective and the shortfall are sums of at most
-    D squares, so their lower bounds give up the relative slack
-    ``sum_tol``; the objective is also at least ``alpha * k`` exactly, as
-    rounding is monotone.  All of this assumes finite inputs, which
-    ObjectiveParams and the parsers enforce.
+    ``field_tol * (F + added)`` per demand point, which is twice the worst
+    case of both sides together; the spare half absorbs the rounding of the
+    bounds themselves, and the at most S further roundoffs of a node's
+    field and of ``added_high``.  The objective and the shortfall are sums
+    of at most D squares, so their lower bounds give up the relative slack
+    ``sum_tol``, whatever the order of the sum; the objective is also at
+    least ``alpha * k`` exactly, as rounding is monotone.  All of this
+    assumes finite inputs, which ObjectiveParams and the parsers enforce.
     """
 
     def __init__(self, ev: _Evaluator, fields, added, added_high=None):
@@ -281,7 +284,7 @@ class _MoveBlock:
         self.low_added, self.high_added = {}, {}
         for g, block in added.items():
             high = block if added_high is None else added_high[g]
-            err = ev.field_tol * (fields[g][:, None] + high) + _TINY
+            err = ev.field_tol * (fields[g] + high) + _TINY
             self.low_added[g] = block - err
             self.high_added[g] = high + err
 
@@ -289,12 +292,12 @@ class _MoveBlock:
         """Lower bounds on the objective; ``n_open`` is each move's k."""
         p = self.ev.params
         g = p.primary_group
-        gap = base[g][:, None] + self.low_added[g]
+        gap = base[g] + self.low_added[g]
         gap -= p.a_sigma
-        above = p.a_sigma - (base[g][:, None] + self.high_added[g])
+        above = p.a_sigma - (base[g] + self.high_added[g])
         np.maximum(gap, above, out=gap)
         np.maximum(gap, 0.0, out=gap)
-        squares = np.einsum("ij,ij->j", gap, gap)
+        squares = np.einsum("ij,ij->i", gap, gap)
         floor = p.alpha * n_open
         return np.maximum((floor + p.beta * squares) * (1.0 - self.ev.sum_tol) - _TINY,
                           floor)
@@ -304,10 +307,10 @@ class _MoveBlock:
         p = self.ev.params
         total = 0.0
         for g in p.constraint_groups:
-            below = p.a_sigma - (base[g][:, None] + self.high_added[g])
+            below = p.a_sigma - (base[g] + self.high_added[g])
             np.maximum(below, 0.0, out=below)
-            below *= self.ev.pos_mask[g][:, None]
-            total = total + np.einsum("ij,ij->j", below, below)
+            below *= self.ev.pos_mask[g]
+            total = total + np.einsum("ij,ij->i", below, below)
         return total * (1.0 - self.ev.sum_tol) - _TINY
 
     def maybe_feasible(self, base) -> np.ndarray:
@@ -316,9 +319,8 @@ class _MoveBlock:
         floor = p.a_sigma - FEASIBILITY_TOL
         result = True
         for g in p.constraint_groups:
-            high = base[g][:, None] + self.high_added[g]
-            below = (high < floor) & self.ev.pos_mask[g][:, None]
-            result = result & ~below.any(axis=0)
+            below = (base[g] + self.high_added[g] < floor) & self.ev.pos_mask[g]
+            result = result & ~below.any(axis=1)
         return result
 
 
@@ -345,6 +347,22 @@ def is_feasible(
     return (not shortfalls), shortfalls
 
 
+def _moves(ev: _Evaluator, current):
+    """The closed candidates, the fields of ``current`` and a screen of its moves.
+
+    Row 0 of the screen opens nothing and row 1 + q opens the q-th closed
+    candidate, in ``candidate_ids`` order; the ``base`` a caller passes
+    closes a site, when the move does.
+    """
+    closed = [c for c in ev.candidate_ids if c not in current]
+    fields = ev.fields(current)
+    added = {}
+    for g in fields:
+        added[g] = np.zeros((1 + len(closed), ev.n_demands))
+        added[g][1:] = ev.rows(g, closed)
+    return closed, fields, _MoveBlock(ev, fields, added)
+
+
 def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]]]:
     """Open the candidate with the least key (shortfall, objective, cid) until feasible.
 
@@ -353,26 +371,23 @@ def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]]]:
     """
     open_ids: set[str] = set()
     trace: list[tuple[str, ...]] = []
-    remaining = list(ev.candidate_ids)
     feasible = ev.feasible(open_ids)
-    while remaining and not feasible:
-        fields = ev.fields(open_ids)
-        screen = _MoveBlock(ev, fields, {g: ev.columns(g, remaining) for g in fields})
-        objective_lo = screen.objective(fields, len(open_ids) + 1)
-        shortfall_lo = screen.shortfall(fields)
+    while not feasible and len(open_ids) < len(ev.candidate_ids):
+        closed, fields, screen = _moves(ev, open_ids)
+        objective_lo = screen.objective(fields, len(open_ids) + 1)[1:]
+        shortfall_lo = screen.shortfall(fields)[1:]
         best = None
         for t in np.lexsort((objective_lo, shortfall_lo)):
             if best is not None and (shortfall_lo[t] > best[0] or (
                     shortfall_lo[t] == best[0] and objective_lo[t] > best[1])):
                 break
-            cid = remaining[t]
+            cid = closed[t]
             objective, step_feasible, shortfall = ev.evaluate(open_ids | {cid})
             key = (shortfall, objective, cid)
             if best is None or key < best[:3]:
                 best = (*key, step_feasible)
         _, _, best_cid, feasible = best
         open_ids.add(best_cid)
-        remaining.remove(best_cid)
         trace.append(("open", best_cid))
     return open_ids, trace
 
@@ -399,24 +414,18 @@ def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
 
     A full scan enumerates the drops, then the swaps, each in ascending
     site-id order, and keeps the first move of least objective.  Here all
-    moves of one site to close are screened as one block: column 0 drops
-    it, column 1 + q swaps it for the q-th closed candidate.
+    moves of one site to close are screened as one block of ``_moves``:
+    row 0 drops it, row 1 + q swaps it for the q-th closed candidate.
     """
     outs = sorted(current)
-    closed = [c for c in ev.candidate_ids if c not in current]
-    fields = ev.fields(current)
-    added = {}
-    for g in fields:
-        added[g] = np.zeros((ev.n_demands, 1 + len(closed)))
-        added[g][:, 1:] = ev.columns(g, closed)
-    screen = _MoveBlock(ev, fields, added)
+    closed, fields, screen = _moves(ev, current)
     n_open = np.full(1 + len(closed), len(current))
     n_open[0] -= 1
     threshold = current_obj - IMPROVEMENT_TOL
     objective_lo = np.empty((len(outs), 1 + len(closed)))
     maybe_feasible = np.empty(objective_lo.shape, dtype=bool)
     for r, out in enumerate(outs):
-        base = {g: field - ev.columns(g, [out])[:, 0] for g, field in fields.items()}
+        base = {g: field - ev.rows(g, [out])[0] for g, field in fields.items()}
         objective_lo[r] = screen.objective(base, n_open)
         maybe_feasible[r] = screen.maybe_feasible(base)
     rows, cols = np.nonzero(maybe_feasible & ~(objective_lo >= threshold))
@@ -551,7 +560,7 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
     child's picks and a subset of the later candidates, so its field lies
     between the child's field and the field with all later candidates
     open.  An expanded node screens all of its children in one
-    ``_MoveBlock``, two columns a child: its own layout, and the layouts
+    ``_MoveBlock``, two rows a child: its own layout, and the layouts
     below it.  The child layouts that may win are confirmed in one
     ``evaluate_block`` call, and then the subtrees that may still win are
     pushed.
@@ -559,14 +568,14 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
     ids = ev.candidate_ids
     cand_cols = np.array([ev.site_index[c] for c in ids], dtype=np.intp)
     existing = np.array(ev.existing_idx, dtype=np.intp)
-    cols = {g: ev.columns(g, ids) for g in ev.catchments}
-    # screen column 2j is the child that opens candidate j, column 2j + 1
-    # every layout below it: it may add any candidate after j
+    rows = {g: ev.rows(g, ids) for g in ev.catchments}
+    # screen row 2j is the child that opens candidate j, row 2j + 1 every
+    # layout below it: it may add any candidate after j
     low, high = {}, {}
-    for g, c in cols.items():
-        low[g] = np.repeat(c, 2, axis=1)
+    for g, r in rows.items():
+        low[g] = np.repeat(r, 2, axis=0)
         high[g] = low[g].copy()
-        high[g][:, 1::2] = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
+        high[g][1::2] = np.cumsum(r[::-1], axis=0)[::-1]
     below = np.arange(2 * len(ids)) % 2
 
     def qualifies(objective, feasible, shortfall):
@@ -591,8 +600,8 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
         k = len(picks) + 1
         if start == len(ids) or not may_win(bound, k):
             continue
-        screen = _MoveBlock(ev, fields, {g: b[:, 2 * start:] for g, b in low.items()},
-                            {g: b[:, 2 * start:] for g, b in high.items()})
+        screen = _MoveBlock(ev, fields, {g: b[2 * start:] for g, b in low.items()},
+                            {g: b[2 * start:] for g, b in high.items()})
         n_open = k + below[2 * start:]
         bounds = screen.objective(fields, n_open)
         maybe = may_qualify(screen, fields)
@@ -612,7 +621,7 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
         expand = np.flatnonzero(maybe[1:-1:2] & may_win(bounds[1:-1:2], k + 1))
         for t in expand[::-1]:
             j = start + t
-            child = {g: fields[g] + cols[g][:, j] for g in cols}
+            child = {g: fields[g] + rows[g][j] for g in rows}
             stack.append(((*picks, j), child, bounds[2 * t + 1]))
     return best[2]
 

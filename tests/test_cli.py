@@ -375,7 +375,7 @@ class TestFlagConfigParity:
 
 
 class TestRefusedAtBoundary:
-    """Bad bins, budget and pool size exit 2 before the scenario is read."""
+    """Bad bins, budget, pool size and groups exit 2 before the scenario is read."""
 
     @pytest.mark.parametrize("command,bins,message", [
         ("score", "0.2,0.1", "strictly increasing"),
@@ -411,6 +411,29 @@ class TestRefusedAtBoundary:
                      "--max-pool", "-3"])
         assert code == 2
         assert "max_pool must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--primary-group", "nosuch", "unknown group 'nosuch'"),
+        ("--constraint-groups", "general,nosuch", "unknown group 'nosuch'"),
+        ("--constraint-groups", "general,general",
+         "constraint group 'general' is listed twice"),
+    ])
+    def test_bad_objective_groups(self, tmp_path, capsys, command, flag, value, message):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "solve", "oracle"])
+    def test_bin_labels_without_bins(self, tmp_path, capsys, command):
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     "--bin-labels", "a,b,c"]) == 2
+        assert "bin_labels given without bins" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line,message", [

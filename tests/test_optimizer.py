@@ -75,6 +75,13 @@ class TestObjective:
             objective_value(Layout(frozenset({"s1"})), sc, mats, params())
 
 
+    @pytest.mark.parametrize("groups", [("general", "general"),
+                                        ("general", "elderly", "general")])
+    def test_repeated_constraint_group_refused(self, groups):
+        with pytest.raises(ValidationError, match="constraint group 'general' is listed twice"):
+            params(constraint_groups=groups)
+
+
 class TestFeasibility:
     def test_nothing_open_lists_every_positive_demand(self):
         sc, mats = spot_instance(135.0, 235.0)

@@ -22,6 +22,7 @@ from accessopt.optimizer import (
     ObjectiveParams,
     _Evaluator,
     _MoveBlock,
+    _moves,
     local_search,
     optimize,
 )
@@ -217,27 +218,23 @@ def test_instances_cover_every_case():
 
 
 def screened_moves(ev, current):
-    """Screen every open, drop and swap from ``current`` as the search does:
-    yields (layout after the move, objective, shortfall and feasibility
-    bounds, screened primary field)."""
-    closed = [c for c in ev.candidate_ids if c not in current]
-    fields = ev.fields(current)
-    added = {}
-    for g in fields:
-        added[g] = np.zeros((ev.n_demands, 1 + len(closed)))
-        added[g][:, 1:] = ev.columns(g, closed)
-    screen = _MoveBlock(ev, fields, added)
+    """Screen every open, drop and swap from ``current`` with the search's
+    ``_moves``: yields (layout after the move, objective, shortfall and
+    feasibility bounds, screened primary field)."""
+    closed, fields, screen = _moves(ev, current)
+    primary = ev.params.primary_group
+    added = np.vstack([np.zeros(ev.n_demands), ev.rows(primary, closed)])
     for out in [None, *sorted(current)]:
         base = dict(fields) if out is None else {
-            g: f - ev.columns(g, [out])[:, 0] for g, f in fields.items()}
+            g: f - ev.rows(g, [out])[0] for g, f in fields.items()}
         stay = current - {out}
         layouts = [stay] + [stay | {c} for c in closed]
         n_open = np.array([len(layout) for layout in layouts])
         bounds = zip(screen.objective(base, n_open), screen.shortfall(base),
                      screen.maybe_feasible(base))
-        trial = base[ev.params.primary_group][:, None] + added[ev.params.primary_group]
+        trial = base[primary] + added
         for q, (layout, bound) in enumerate(zip(layouts, bounds)):
-            yield layout, bound, trial[:, q]
+            yield layout, bound, trial[q]
 
 
 def assert_bounds_hold(ev, current, tight=True):
