@@ -39,6 +39,11 @@ class ValidationError(InputError):
     """A parsed value violates a data invariant."""
 
 
+def _shown(value) -> str:
+    """``value`` as a message shows it: a numpy scalar as its Python value."""
+    return repr(value.item() if isinstance(value, np.generic) else value)
+
+
 EXISTING = "existing"
 CANDIDATE = "candidate"
 _STATUSES = (EXISTING, CANDIDATE)
@@ -55,9 +60,9 @@ class Coordinate:
 
     def __post_init__(self):
         if not -180.0 <= self.lon <= 180.0:
-            raise ValidationError(f"lon {self.lon!r} outside [-180, 180]")
+            raise ValidationError(f"lon {_shown(self.lon)} outside [-180, 180]")
         if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"lat {self.lat!r} outside [-90, 90]")
+            raise ValidationError(f"lat {_shown(self.lat)} outside [-90, 90]")
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class Edge:
         if not (self.length_m > 0 and math.isfinite(self.length_m)):
             raise ValidationError(
                 f"edge {self.from_id}->{self.to_id}: length_m must be finite and > 0, "
-                f"got {self.length_m!r}"
+                f"got {_shown(self.length_m)}"
             )
 
 
@@ -126,12 +131,12 @@ class PopulationGroup:
         if not (self.walk_speed_m_per_min > 0 and math.isfinite(self.walk_speed_m_per_min)):
             raise ValidationError(
                 f"group '{self.name}': walk speed must be finite and > 0, "
-                f"got {self.walk_speed_m_per_min!r}"
+                f"got {_shown(self.walk_speed_m_per_min)}"
             )
         if not (self.max_walk_m > 0 and math.isfinite(self.max_walk_m)):
             raise ValidationError(
                 f"group '{self.name}': max walk distance must be finite and > 0, "
-                f"got {self.max_walk_m!r}"
+                f"got {_shown(self.max_walk_m)}"
             )
 
     @property
@@ -160,7 +165,7 @@ class DemandPoint:
             except TypeError:
                 raise ValidationError(
                     f"demand '{self.demand_id}': population[{group!r}] must be an "
-                    f"integer, got {count!r}"
+                    f"integer, got {_shown(count)}"
                 ) from None
             if value < 0:
                 raise ValidationError(
@@ -199,7 +204,7 @@ class FacilitySite:
         if not (self.capacity > 0 and math.isfinite(self.capacity)):
             raise ValidationError(
                 f"site '{self.site_id}': capacity must be finite and > 0, "
-                f"got {self.capacity!r}"
+                f"got {_shown(self.capacity)}"
             )
 
     @property
@@ -477,6 +482,8 @@ _BASE_LAT = 32.03
 _M_PER_DEG_LAT = 111_320.0
 _POP_FACTOR = 420.0
 _SITE_REACH_FACTOR = 0.55
+_JITTER = (0.95, 1.10)  # edge length / spacing_m, drawn uniformly
+_LENGTH_DECIMALS = 3
 
 
 def generate_synthetic_scenario(
@@ -501,6 +508,26 @@ def generate_synthetic_scenario(
     so dense blobs attract several candidates and the fringe still gets
     covered.  The first group carries the base population; later groups get
     a random fraction of it per point.
+
+    A site reaches the grid nodes within ``reach`` steps of it in Manhattan
+    distance; ``reach`` comes from the first group's walk limit.  Each
+    placement step scores every node with a diamond stencil: starting from
+    0, node ``(r, c)`` adds the value at ``(r + dr, c + dc)`` for every
+    offset with ``|dr| + |dc| <= reach``, one offset after another in
+    ascending ``dr``, then ``dc``, which is ascending node index.  That
+    order fixes the bits of the float scores: two nodes that reach the same
+    nonzero values get the same bits, and an exact tie goes to the lower
+    index.  The stencil is clamped to the grid, ``|dr| < grid_rows`` and
+    ``|dc| < grid_cols``.  This is exact, as no offset beyond it lands on a
+    node, and it keeps the stencil within ``(2 * grid_rows - 1) *
+    (2 * grid_cols - 1)`` offsets however small ``spacing_m`` is.  Each
+    offset adds only the nodes it lands on.  Covering and absorbing take
+    one node's Manhattan mask.  A step costs one numpy addition per offset,
+    O(N * reach**2) arithmetic in all and never more than N**2, and the
+    placement holds O(N) memory for N grid nodes.
+
+    A ``spacing_m`` so small that an edge length would round to 0 m is
+    refused before any work.
     """
     if grid_rows < 2 or grid_cols < 2:
         raise ValidationError(f"grid must be at least 2x2, got {grid_rows}x{grid_cols}")
@@ -515,10 +542,16 @@ def generate_synthetic_scenario(
     if not groups:
         raise ValidationError("at least one population group required")
     if not (spacing_m > 0 and math.isfinite(spacing_m)):
-        raise ValidationError(f"spacing_m must be finite and > 0, got {spacing_m!r}")
+        raise ValidationError(f"spacing_m must be finite and > 0, got {_shown(spacing_m)}")
+    if round(spacing_m * _JITTER[0], _LENGTH_DECIMALS) <= 0:
+        raise ValidationError(
+            f"spacing_m {_shown(spacing_m)} is too small: edge lengths are "
+            f"{_JITTER[0]}-{_JITTER[1]} times spacing_m rounded to "
+            f"{_LENGTH_DECIMALS} decimals, and the shortest would be 0 m"
+        )
     if not (population_scale >= 0 and math.isfinite(population_scale)):
         raise ValidationError(
-            f"population_scale must be finite and >= 0, got {population_scale!r}"
+            f"population_scale must be finite and >= 0, got {_shown(population_scale)}"
         )
 
     rng = np.random.default_rng(seed)
@@ -540,9 +573,9 @@ def generate_synthetic_scenario(
             edge_pairs.append((i, i + 1))
         if r + 1 < grid_rows:
             edge_pairs.append((i, i + grid_cols))
-    jitter = rng.uniform(0.95, 1.10, size=len(edge_pairs))
+    jitter = rng.uniform(*_JITTER, size=len(edge_pairs))
     edges = tuple(
-        Edge(node_ids[a], node_ids[b], round(spacing_m * jitter[k], 3))
+        Edge(node_ids[a], node_ids[b], round(spacing_m * jitter[k], _LENGTH_DECIMALS))
         for k, (a, b) in enumerate(edge_pairs)
     )
     network = RoadNetwork(nodes, edges)
@@ -597,34 +630,55 @@ def generate_synthetic_scenario(
     # the placement radius is deliberately tighter than the walk limit so
     # covered points keep a useful decay weight, not a near-zero one
     reach = max(1, int(_SITE_REACH_FACTOR * groups[0].max_walk_m / (spacing_m * 1.05)))
-    manhattan = np.abs(rows[:, None] - rows[None, :]) + np.abs(cols[:, None] - cols[None, :])
-    in_reach = manhattan <= reach
+    grid = np.zeros((grid_rows, grid_cols))
+    sums = np.zeros((grid_rows, grid_cols))
+    # one (sums, grid) view pair per offset, in summation order: the nodes
+    # (r, c) whose (r + dr, c + dc) is on the grid, and those values
+    dr_max = min(reach, grid_rows - 1)
+    stencil = [
+        (sums[max(0, -dr):grid_rows - max(0, dr), max(0, -dc):grid_cols - max(0, dc)],
+         grid[max(0, dr):grid_rows - max(0, -dr), max(0, dc):grid_cols - max(0, -dc)])
+        for dr in range(-dr_max, dr_max + 1)
+        for dc in range(-min(reach - abs(dr), grid_cols - 1),
+                        min(reach - abs(dr), grid_cols - 1) + 1)
+    ]
+
+    def reach_sums(values: np.ndarray) -> np.ndarray:
+        """Each node's sum of ``values`` over the nodes within reach; the
+        next call overwrites it."""
+        grid[...] = values.reshape(grid_rows, grid_cols)
+        sums.fill(0.0)
+        for target, source in stencil:
+            target += source
+        return sums.ravel()
+
     taken = np.zeros(n_nodes, dtype=bool)
     taken[site_nodes] = True
     covered = np.zeros(n_nodes, dtype=bool)
     unserved = base_pop.astype(float)
 
-    def absorb(node: int) -> None:
-        within = in_reach[node]
+    def place(node: int) -> None:
+        """Cover the nodes within reach of ``node``; absorb up to ``capacity``
+        of their unserved population."""
+        within = np.abs(rows - rows[node]) + np.abs(cols - cols[node]) <= reach
+        covered[within] = True
         total = unserved[within].sum()
         if total > 0:
             unserved[within] *= max(0.0, 1.0 - capacity / total)
 
     for i in site_nodes:
-        covered |= in_reach[i]
-        absorb(i)
+        place(i)
     positive = base_pop > 0
     for _ in range(n_candidate):
         uncovered = positive & ~covered
         if uncovered.any():
-            scores = in_reach @ (base_pop * uncovered).astype(float)
+            scores = reach_sums((base_pop * uncovered).astype(float))
         else:
-            scores = in_reach @ unserved
+            scores = reach_sums(unserved)
         pick = int(np.argmax(np.where(taken, -np.inf, scores)))
         taken[pick] = True
         site_nodes.append(pick)
-        covered |= in_reach[pick]
-        absorb(pick)
+        place(pick)
 
     site_width = max(3, len(str(max(n_existing + n_candidate - 1, 0))))
     sites = tuple(

@@ -96,6 +96,21 @@ class TestSynth:
         for name in ("nodes.csv", "edges.csv", "demand.csv", "sites.csv", "run.cfg"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_spacing_that_rounds_an_edge_to_zero_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--spacing-m", "0.0004", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "spacing_m 0.0004 is too small" in err
+        assert "n0000" not in err
+        assert not out.exists()
+
+    def test_generator_messages_show_plain_numbers(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--spacing-m", "1000000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: lon 182.27695809870056 outside [-180, 180]" in err
+        assert "np." not in err
+
     def test_grid_below_minimum(self, tmp_path, capsys):
         code = main(["synth", "--grid-rows", "1", "--grid-cols", "1",
                      "--out", str(tmp_path / "x")])

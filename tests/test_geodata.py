@@ -1,6 +1,8 @@
 import csv
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from accessopt.geodata import (
@@ -174,6 +176,12 @@ class TestParseSites:
 
 
 class TestTypes:
+    def test_numpy_values_shown_as_python_numbers(self):
+        with pytest.raises(ValidationError, match=r"got 0\.0$"):
+            Edge("a", "b", np.float64(0.0))
+        with pytest.raises(ValidationError, match=r"^lat 95\.5 "):
+            Coordinate(0.0, np.float64(95.5))
+
     def test_coordinate_range(self):
         with pytest.raises(ValidationError):
             Coordinate(181.0, 0.0)
@@ -267,12 +275,29 @@ class TestGenerator:
     @pytest.mark.parametrize("argument,value", [
         ("population_scale", -1.0), ("population_scale", math.nan),
         ("population_scale", math.inf), ("spacing_m", math.nan),
-        ("spacing_m", math.inf), ("spacing_m", 0.0),
+        ("spacing_m", math.inf), ("spacing_m", 0.0), ("spacing_m", 0.0004),
     ])
     def test_bad_argument_named(self, argument, value):
         with pytest.raises(ValidationError, match=argument):
             generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
                                         n_candidate=1, **{argument: value})
+
+    def test_smallest_spacing_keeps_every_edge(self):
+        sc = generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
+                                         n_candidate=1, spacing_m=0.00053)
+        assert all(e.length_m > 0 for e in sc.network.edges)
+
+    def test_city_memory_bounded_by_walk_radius(self):
+        """A 60×60 city holds no N×N array: with the N×N reach matrices this
+        call peaked at 316 MB, with the stencil at about 5.5 MB."""
+        tracemalloc.start()
+        try:
+            generate_synthetic_scenario(0, grid_rows=60, grid_cols=60,
+                                        n_existing=40, n_candidate=250)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_zero_population_scale_allowed(self):
         sc = generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
