@@ -29,7 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geodata import DemandPoint, FacilitySite, Scenario, ValidationError
+from .geodata import DemandPoint, FacilitySite, Scenario, ValidationError, _check_positive
 from .routing import TravelTimeMatrix
 
 _KERNEL_FLOOR = math.exp(-0.5)
@@ -44,8 +44,7 @@ class DecayParams:
     t_sigma_min: float
 
     def __post_init__(self):
-        if not self.t_sigma_min > 0:
-            raise ValidationError(f"t_sigma_min must be > 0, got {self.t_sigma_min!r}")
+        _check_positive(self.t_sigma_min, "t_sigma_min")
 
 
 def decay_weights(times_min, t_sigma: float) -> np.ndarray:
@@ -175,8 +174,7 @@ def accessibility_scores(
     kernel weight times that site's supply-to-demand ratio.  Demand with no
     reachable open site scores 0.
     """
-    if not (gamma > 0 and math.isfinite(gamma)):
-        raise ValidationError(f"gamma must be finite and > 0, got {gamma!r}")
+    _check_positive(gamma, "gamma")
     open_set = set(open_sites)
     unknown = sorted(open_set - set(scenario.site_ids))
     if unknown:
@@ -232,7 +230,8 @@ def default_bins(a_sigma: float = DEFAULT_A_SIGMA) -> tuple[tuple[str, float], .
     )
 
 
-def _check_bins(bins) -> tuple[tuple[str, ...], tuple[float, ...]]:
+def _check_bins(bins) -> tuple[tuple[str, float], ...]:
+    """``bins`` as checked (label, lower bound) pairs."""
     spec = tuple((str(label), float(lower)) for label, lower in bins)
     if not spec:
         raise ValidationError("bin spec must not be empty")
@@ -245,7 +244,7 @@ def _check_bins(bins) -> tuple[tuple[str, ...], tuple[float, ...]]:
         raise ValidationError(
             "first bin lower bound must be <= 0 so every score falls in a bin"
         )
-    return tuple(label for label, _ in spec), bounds
+    return spec
 
 
 def assign_bin(bounds: Sequence[float], score: float) -> int:
@@ -259,20 +258,18 @@ def coverage_report(
     bins,
 ) -> CoverageReport:
     """Distribute each demand point's group population over the score bins."""
-    labels, bounds = _check_bins(bins)
+    spec = _check_bins(bins)
     if set(field.scores) != {d.demand_id for d in demands}:
         raise ValidationError("field scores do not cover exactly these demand points")
-    counts = [0] * len(bounds)
+    bounds = [lower for _, lower in spec]
+    counts = [0] * len(spec)
     for d in demands:
         counts[assign_bin(bounds, field.scores[d.demand_id])] += d.pop_of(field.group)
     total = sum(counts)
     return CoverageReport(
         group=field.group,
-        bins=tuple(
-            CoverageBin(labels[k], bounds[k], counts[k],
-                        counts[k] / total if total else 0.0)
-            for k in range(len(bounds))
-        ),
+        bins=tuple(CoverageBin(label, lower, count, count / total if total else 0.0)
+                   for (label, lower), count in zip(spec, counts)),
     )
 
 

@@ -290,7 +290,7 @@ def _bin_spec(cfg: RunConfig):
         if len(labels) != len(cfg.bins):
             raise ValidationError("bins and bin_labels must have the same length")
         spec = zip(labels, cfg.bins)
-    return tuple(zip(*_check_bins(spec)))
+    return _check_bins(spec)
 
 
 def _prepare(cfg: RunConfig):

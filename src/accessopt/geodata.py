@@ -44,6 +44,12 @@ def _shown(value) -> str:
     return repr(value.item() if isinstance(value, np.generic) else value)
 
 
+def _check_positive(value, what: str) -> None:
+    """Refuse ``value`` unless it is finite and > 0; ``what`` names it."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValidationError(f"{what} must be finite and > 0, got {_shown(value)}")
+
+
 EXISTING = "existing"
 CANDIDATE = "candidate"
 _STATUSES = (EXISTING, CANDIDATE)
@@ -73,11 +79,7 @@ class Edge:
     bidirectional: bool = True
 
     def __post_init__(self):
-        if not (self.length_m > 0 and math.isfinite(self.length_m)):
-            raise ValidationError(
-                f"edge {self.from_id}->{self.to_id}: length_m must be finite and > 0, "
-                f"got {_shown(self.length_m)}"
-            )
+        _check_positive(self.length_m, f"edge {self.from_id}->{self.to_id}: length_m")
 
 
 @dataclass(frozen=True)
@@ -92,16 +94,17 @@ class RoadNetwork:
         object.__setattr__(self, "edges", tuple(self.edges))
         occupied: set[tuple[str, str]] = set()
         for e in self.edges:
-            for nid in (e.from_id, e.to_id):
-                if nid not in self.nodes:
-                    raise ValidationError(
-                        f"edge {e.from_id}->{e.to_id} references unknown node '{nid}'"
-                    )
-            _claim_pairs(e, occupied)
+            _claim_edge(e, self.nodes, occupied)
 
 
-def _claim_pairs(edge: Edge, occupied: set[tuple[str, str]]) -> None:
-    """Add the directed pairs ``edge`` runs along; refuse one already taken."""
+def _claim_edge(edge: Edge, nodes, occupied: set[tuple[str, str]]) -> None:
+    """Add the directed pairs ``edge`` runs along to ``occupied``; refuse an
+    endpoint missing from ``nodes`` or a pair already taken."""
+    for nid in (edge.from_id, edge.to_id):
+        if nid not in nodes:
+            raise ValidationError(
+                f"edge {edge.from_id}->{edge.to_id} references unknown node '{nid}'"
+            )
     forward = (edge.from_id, edge.to_id)
     pairs = (forward, forward[::-1]) if edge.bidirectional else (forward,)
     for pair in pairs:
@@ -128,16 +131,11 @@ class PopulationGroup:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("group name must be non-empty")
-        if not (self.walk_speed_m_per_min > 0 and math.isfinite(self.walk_speed_m_per_min)):
-            raise ValidationError(
-                f"group '{self.name}': walk speed must be finite and > 0, "
-                f"got {_shown(self.walk_speed_m_per_min)}"
-            )
-        if not (self.max_walk_m > 0 and math.isfinite(self.max_walk_m)):
-            raise ValidationError(
-                f"group '{self.name}': max walk distance must be finite and > 0, "
-                f"got {_shown(self.max_walk_m)}"
-            )
+        _check_positive(self.walk_speed_m_per_min, f"group '{self.name}': walk speed")
+        _check_positive(self.max_walk_m, f"group '{self.name}': max walk distance")
+        # the quotient of two finite positives may still overflow or underflow
+        _check_positive(self.t_sigma_min, f"group '{self.name}': travel-time threshold "
+                                          "(max walk / walk speed)")
 
     @property
     def t_sigma_min(self) -> float:
@@ -201,11 +199,7 @@ class FacilitySite:
                 f"site '{self.site_id}': unknown status '{self.status}' "
                 f"(expected one of {', '.join(_STATUSES)})"
             )
-        if not (self.capacity > 0 and math.isfinite(self.capacity)):
-            raise ValidationError(
-                f"site '{self.site_id}': capacity must be finite and > 0, "
-                f"got {_shown(self.capacity)}"
-            )
+        _check_positive(self.capacity, f"site '{self.site_id}': capacity")
 
     @property
     def existing(self) -> bool:
@@ -269,12 +263,6 @@ class Scenario:
             if g.name == name:
                 return g
         raise ValidationError(f"unknown group '{name}'")
-
-    def site(self, site_id: str) -> FacilitySite:
-        for s in self.sites:
-            if s.site_id == site_id:
-                return s
-        raise ValidationError(f"unknown site '{site_id}'")
 
     def total_population(self, group: str) -> int:
         return sum(d.pop_of(group) for d in self.demands)
@@ -358,11 +346,8 @@ def parse_network(nodes_path, edges_path) -> RoadNetwork:
         nodes[nid] = Coordinate(lon, lat)
 
     def edge(from_id: str, to_id: str, length_m: float, bidirectional: bool) -> Edge:
-        for nid in (from_id, to_id):
-            if nid not in nodes:
-                raise ValidationError(f"unknown node '{nid}'")
         built = Edge(from_id, to_id, length_m, bidirectional)
-        _claim_pairs(built, occupied)
+        _claim_edge(built, nodes, occupied)
         return built
 
     read_csv(nodes_path, {"node_id": _id, "lon": _number, "lat": _number}, node)
@@ -526,8 +511,9 @@ def generate_synthetic_scenario(
     O(N * reach**2) arithmetic in all and never more than N**2, and the
     placement holds O(N) memory for N grid nodes.
 
-    A ``spacing_m`` so small that an edge length would round to 0 m is
-    refused before any work.
+    A ``spacing_m`` so small that an edge length would round to 0 m, or so
+    large that the grid would pass lon 180 or lat 90, is refused before any
+    work.
     """
     if grid_rows < 2 or grid_cols < 2:
         raise ValidationError(f"grid must be at least 2x2, got {grid_rows}x{grid_cols}")
@@ -541,8 +527,7 @@ def generate_synthetic_scenario(
         )
     if not groups:
         raise ValidationError("at least one population group required")
-    if not (spacing_m > 0 and math.isfinite(spacing_m)):
-        raise ValidationError(f"spacing_m must be finite and > 0, got {_shown(spacing_m)}")
+    _check_positive(spacing_m, "spacing_m")
     if round(spacing_m * _JITTER[0], _LENGTH_DECIMALS) <= 0:
         raise ValidationError(
             f"spacing_m {_shown(spacing_m)} is too small: edge lengths are "
@@ -553,17 +538,22 @@ def generate_synthetic_scenario(
         raise ValidationError(
             f"population_scale must be finite and >= 0, got {_shown(population_scale)}"
         )
+    d_lat = spacing_m / _M_PER_DEG_LAT
+    d_lon = spacing_m / (_M_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
+    if (_BASE_LON + (grid_cols - 1) * d_lon > 180.0
+            or _BASE_LAT + (grid_rows - 1) * d_lat > 90.0):
+        raise ValidationError(
+            f"spacing_m {_shown(spacing_m)} is too large for a {grid_rows}x{grid_cols} "
+            "grid: its far corner would pass lon 180 or lat 90"
+        )
 
     rng = np.random.default_rng(seed)
     width = max(4, len(str(n_nodes - 1)))
-    d_lat = spacing_m / _M_PER_DEG_LAT
-    d_lon = spacing_m / (_M_PER_DEG_LAT * math.cos(math.radians(_BASE_LAT)))
-
     rows, cols = np.divmod(np.arange(n_nodes), grid_cols)
     node_ids = [f"n{i:0{width}d}" for i in range(n_nodes)]
     nodes = {
-        node_ids[i]: Coordinate(_BASE_LON + cols[i] * d_lon, _BASE_LAT + rows[i] * d_lat)
-        for i in range(n_nodes)
+        nid: Coordinate(_BASE_LON + c * d_lon, _BASE_LAT + r * d_lat)
+        for nid, r, c in zip(node_ids, rows.tolist(), cols.tolist())
     }
 
     edge_pairs: list[tuple[int, int]] = []
@@ -573,10 +563,10 @@ def generate_synthetic_scenario(
             edge_pairs.append((i, i + 1))
         if r + 1 < grid_rows:
             edge_pairs.append((i, i + grid_cols))
-    jitter = rng.uniform(*_JITTER, size=len(edge_pairs))
+    jitter = rng.uniform(*_JITTER, size=len(edge_pairs)).tolist()
     edges = tuple(
-        Edge(node_ids[a], node_ids[b], round(spacing_m * jitter[k], _LENGTH_DECIMALS))
-        for k, (a, b) in enumerate(edge_pairs)
+        Edge(node_ids[a], node_ids[b], round(spacing_m * j, _LENGTH_DECIMALS))
+        for (a, b), j in zip(edge_pairs, jitter)
     )
     network = RoadNetwork(nodes, edges)
 

@@ -363,11 +363,12 @@ def _moves(ev: _Evaluator, current):
     return closed, fields, _MoveBlock(ev, fields, added)
 
 
-def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]]]:
+def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]], bool]:
     """Open the candidate with the least key (shortfall, objective, cid) until feasible.
 
-    Each step screens every closed candidate, then confirms them in order
-    of their lower bounds until no unconfirmed key can be below the best.
+    Returns the open set, its trace and whether it ended feasible.  Each
+    step screens every closed candidate, then confirms them in order of
+    their lower bounds until no unconfirmed key can be below the best.
     """
     open_ids: set[str] = set()
     trace: list[tuple[str, ...]] = []
@@ -389,7 +390,7 @@ def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]]]:
         _, _, best_cid, feasible = best
         open_ids.add(best_cid)
         trace.append(("open", best_cid))
-    return open_ids, trace
+    return open_ids, trace, feasible
 
 
 def greedy_construct(
@@ -403,7 +404,7 @@ def greedy_construct(
     soon as the layout is feasible, or with everything open when it never
     becomes feasible.
     """
-    open_ids, _ = _greedy(_Evaluator(scenario, matrices, params))
+    open_ids, _, _ = _greedy(_Evaluator(scenario, matrices, params))
     return Layout(frozenset(open_ids))
 
 
@@ -490,10 +491,13 @@ def local_search(
     return Layout(frozenset(final))
 
 
-def _resolve_bins(params: ObjectiveParams, bins) -> tuple[tuple[str, float], ...]:
-    """The checked coverage bins of a result, resolved before any layout is scored."""
-    labels, bounds = _check_bins(default_bins(params.a_sigma) if bins is None else bins)
-    return tuple(zip(labels, bounds))
+def _search(ev: _Evaluator, budget: int) -> tuple[set[str], list[tuple[str, ...]]]:
+    """Greedy construction, then local search when the greedy layout is feasible."""
+    open_ids, trace, feasible = _greedy(ev)
+    if feasible:
+        open_ids, moves = _local_search(ev, open_ids, budget)
+        trace.extend(moves)
+    return open_ids, trace
 
 
 def _assemble_result(
@@ -538,12 +542,9 @@ def optimize(
     with its shortfall list.
     """
     check_budget(budget)
-    bin_spec = _resolve_bins(params, bins)
+    bin_spec = _check_bins(default_bins(params.a_sigma) if bins is None else bins)
     ev = _Evaluator(scenario, matrices, params)
-    open_ids, trace = _greedy(ev)
-    if ev.feasible(open_ids):
-        open_ids, ls_trace = _local_search(ev, open_ids, budget)
-        trace.extend(ls_trace)
+    open_ids, trace = _search(ev, budget)
     return _assemble_result(ev, matrices, open_ids, trace, bin_spec)
 
 
@@ -662,21 +663,15 @@ def exhaustive_oracle(
     among the layouts with exactly that shortfall.
     """
     check_max_pool(max_pool)
-    bin_spec = _resolve_bins(params, bins)
+    bin_spec = _check_bins(default_bins(params.a_sigma) if bins is None else bins)
     pool = len(scenario.candidate_site_ids)
     if pool > max_pool:
         raise CandidatePoolError(
             f"{pool} candidate sites exceed the oracle's cap of {max_pool}"
         )
     ev = _Evaluator(scenario, matrices, params)
-    open_ids, _ = _greedy(ev)
+    open_ids, _ = _search(ev, DEFAULT_BUDGET)
     objective, feasible, shortfall = ev.evaluate(open_ids)
-    least_shortfall = None
-    if feasible:
-        open_ids, _ = _local_search(ev, open_ids, DEFAULT_BUDGET)
-        objective = ev.objective(open_ids)
-    else:
-        least_shortfall = shortfall
     incumbent = (objective, len(open_ids), tuple(sorted(open_ids)))
-    chosen = _branch_and_bound(ev, incumbent, least_shortfall)
+    chosen = _branch_and_bound(ev, incumbent, None if feasible else shortfall)
     return _assemble_result(ev, matrices, chosen, (), bin_spec)

@@ -89,6 +89,9 @@ class TestDecayKernel:
     def test_params_validation(self):
         with pytest.raises(ValidationError):
             DecayParams(0.0)
+        # an infinite threshold would weigh an unreachable time inf / inf = nan
+        with pytest.raises(ValidationError):
+            DecayParams(math.inf)
 
 
 @functools.lru_cache(maxsize=None)

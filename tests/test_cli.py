@@ -104,12 +104,15 @@ class TestSynth:
         assert "n0000" not in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_generator_messages_show_plain_numbers(self, tmp_path, capsys):
         out = tmp_path / "x"
         assert main(["synth", "--spacing-m", "1000000", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error: lon 182.27695809870056 outside [-180, 180]" in err
+        assert ("error: spacing_m 1000000.0 is too large for a 20x20 grid: "
+                "its far corner would pass lon 180 or lat 90") in err
         assert "np." not in err
+        assert not out.exists()
 
     def test_grid_below_minimum(self, tmp_path, capsys):
         code = main(["synth", "--grid-rows", "1", "--grid-cols", "1",
@@ -141,6 +144,20 @@ class TestScore:
         code = main(["score", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "file not found" in capsys.readouterr().err
+
+    def test_edge_to_unknown_node_names_file_and_line(self, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        cfg = synth_small(bundle)
+        with open(bundle / "nodes.csv", "a") as fh:
+            fh.write("b,118.7,32.03\n")
+        with open(bundle / "edges.csv", "a") as fh:
+            fh.write("b,zz,100,1\n")
+        lineno = len((bundle / "edges.csv").read_text().splitlines())
+        out = tmp_path / "o"
+        assert main(["score", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bundle / 'edges.csv'}:{lineno}: edge b->zz references unknown node 'zz'\n")
+        assert not out.exists()
 
     def test_dump_matrix_flag(self, tmp_path):
         bundle = tmp_path / "bundle"
@@ -449,6 +466,25 @@ class TestRefusedAtBoundary:
         assert main([command, "--config", str(cfg), "--out", str(out),
                      "--bin-labels", "a,b,c"]) == 2
         assert "bin_labels given without bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["score", "solve", "oracle"])
+    @pytest.mark.parametrize("spec,shown", [
+        ("general:1e-300:1e300,elderly:70:700", "inf"),
+        ("general:1e300:1e-300,elderly:70:700", "0.0"),
+    ])
+    def test_group_threshold_out_of_range(self, tmp_path, capsys, command, spec, shown):
+        # the quotient max walk / walk speed overflows or underflows; the
+        # bundle is missing, so the refusal comes before it is read
+        out = tmp_path / "run"
+        code = main([command, "--bundle", str(tmp_path / "missing"), "--out", str(out),
+                     "--groups", spec])
+        assert code == 2
+        group = spec.split(",")[0]
+        assert capsys.readouterr().err == (
+            f"error: --groups: bad group spec '{group}': group 'general': travel-time "
+            f"threshold (max walk / walk speed) must be finite and > 0, got {shown}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("line,message", [

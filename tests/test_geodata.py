@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from accessopt.accessibility import DecayParams, accessibility_scores
 from accessopt.geodata import (
     Coordinate,
     DemandPoint,
@@ -26,7 +27,7 @@ from accessopt.geodata import (
     write_scenario_bundle,
 )
 
-from conftest import ELDERLY, GENERAL, random_scenario
+from conftest import ELDERLY, GENERAL, random_scenario, table_scenario
 
 
 def write(path, text):
@@ -69,6 +70,18 @@ class TestParseNetwork:
         edges = write(tmp_path / "e.csv", "from_id,to_id,length_m,bidirectional\n")
         with pytest.raises(ValidationError, match="duplicate node_id"):
             parse_network(nodes, edges)
+
+    def test_unknown_node_names_edge_and_line(self, tmp_path):
+        nodes = write(tmp_path / "n.csv", NODES_OK)
+        edges = write(tmp_path / "e.csv",
+                      "from_id,to_id,length_m,bidirectional\na,b,100,1\nb,zz,90,1\n")
+        with pytest.raises(ValidationError) as parsed:
+            parse_network(nodes, edges)
+        assert str(parsed.value) == f"{edges}:3: edge b->zz references unknown node 'zz'"
+        here = Coordinate(118.7, 32.0)
+        with pytest.raises(ValidationError) as built:
+            RoadNetwork({"a": here, "b": here}, (Edge("a", "b", 100.0), Edge("b", "zz", 90.0)))
+        assert str(built.value) == "edge b->zz references unknown node 'zz'"
 
     def test_duplicate_edge_rejected(self, tmp_path):
         nodes = write(tmp_path / "n.csv", NODES_OK)
@@ -188,6 +201,15 @@ class TestTypes:
         with pytest.raises(ValidationError):
             Coordinate(0.0, -91.0)
 
+    @pytest.mark.parametrize("speed,walk,shown", [(1e-300, 1e300, "inf"),
+                                                  (1e300, 1e-300, "0.0")])
+    def test_t_sigma_overflow_and_underflow_refused(self, speed, walk, shown):
+        with pytest.raises(ValidationError) as info:
+            PopulationGroup("general", speed, walk)
+        assert str(info.value) == (
+            "group 'general': travel-time threshold (max walk / walk speed) "
+            f"must be finite and > 0, got {shown}")
+
     def test_t_sigma_derived(self):
         assert GENERAL.t_sigma_min == 8.75
         assert ELDERLY.t_sigma_min == 10.0
@@ -217,6 +239,38 @@ class TestTypes:
         site = FacilitySite("s", Coordinate(0, 0), "existing")
         with pytest.raises(ValidationError, match="duplicate"):
             Scenario(net, (d, d), (site,), (GENERAL,))
+
+
+def _score_at_gamma(gamma):
+    scenario, matrices = table_scenario([("d1", {"general": 10})],
+                                        [("s1", "existing", 100.0)], [GENERAL],
+                                        {"general": [[1.0]]})
+    accessibility_scores(scenario, matrices["general"], {"s1"}, gamma)
+
+
+# every caller of the one "finite and > 0" check, and the name its message gives
+POSITIVE_CHECKS = {
+    "edge length": (lambda v: Edge("a", "b", v), "edge a->b: length_m"),
+    "walk speed": (lambda v: PopulationGroup("g", v, 700.0), "group 'g': walk speed"),
+    "max walk": (lambda v: PopulationGroup("g", 80.0, v), "group 'g': max walk distance"),
+    "capacity": (lambda v: FacilitySite("s", Coordinate(0.0, 0.0), "existing", v),
+                 "site 's': capacity"),
+    "spacing": (lambda v: generate_synthetic_scenario(1, spacing_m=v), "spacing_m"),
+    "decay threshold": (DecayParams, "t_sigma_min"),
+    "gamma": (_score_at_gamma, "gamma"),
+}
+
+
+@pytest.mark.parametrize("value,shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (0.0, "0.0"), (-1.0, "-1.0"),
+    (np.float64(0.0), "0.0"),
+])
+@pytest.mark.parametrize("caller", sorted(POSITIVE_CHECKS))
+def test_positive_check_message(caller, value, shown):
+    build, name = POSITIVE_CHECKS[caller]
+    with pytest.raises(ValidationError) as info:
+        build(value)
+    assert str(info.value) == f"{name} must be finite and > 0, got {shown}"
 
 
 class TestRoundTrip:
@@ -281,6 +335,27 @@ class TestGenerator:
         with pytest.raises(ValidationError, match=argument):
             generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
                                         n_candidate=1, **{argument: value})
+
+    @pytest.mark.parametrize("rows,cols,spacing_m", [(20, 20, 1e6), (3, 2, 4e6)])
+    def test_spacing_past_the_globe_refused(self, rows, cols, spacing_m):
+        # (3, 2, 4e6) passes lat 90 but not lon 180
+        with pytest.raises(ValidationError) as info:
+            generate_synthetic_scenario(1, grid_rows=rows, grid_cols=cols, n_existing=1,
+                                        n_candidate=1, spacing_m=spacing_m)
+        assert str(info.value) == (
+            f"spacing_m {spacing_m!r} is too large for a {rows}x{cols} grid: "
+            "its far corner would pass lon 180 or lat 90")
+
+    def test_spacing_just_inside_the_globe_accepted(self):
+        # the 20x20 grid's far corner passes lon 180 from about 304.5 km
+        sc = generate_synthetic_scenario(1, n_existing=1, n_candidate=1, spacing_m=3e5)
+        assert max(c.lon for c in sc.network.nodes.values()) > 179.0
+
+    def test_generated_numbers_are_python_floats(self):
+        sc = generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
+                                         n_candidate=1)
+        assert {type(e.length_m) for e in sc.network.edges} == {float}
+        assert {type(x) for c in sc.network.nodes.values() for x in (c.lon, c.lat)} == {float}
 
     def test_smallest_spacing_keeps_every_edge(self):
         sc = generate_synthetic_scenario(1, grid_rows=4, grid_cols=4, n_existing=1,
