@@ -294,7 +294,10 @@ def _bin_spec(cfg: RunConfig):
 
 
 def _prepare(cfg: RunConfig):
-    """The scenario, its travel-time matrices and the created output directory."""
+    """The scenario, its travel-time matrices and the output directory.
+
+    The directory is made only when a command writes into it.
+    """
     paths = []
     for key in ("nodes", "edges", "demand", "sites"):
         if getattr(cfg, key):
@@ -307,9 +310,7 @@ def _prepare(cfg: RunConfig):
     matrices = build_travel_time_matrices(
         scenario, include_snap_distance=cfg.include_snap, snap_warn_m=cfg.snap_warn_m
     )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return scenario, matrices, out
+    return scenario, matrices, Path(cfg.out)
 
 
 def _params(cfg: RunConfig) -> ObjectiveParams:
@@ -394,6 +395,7 @@ def cmd_score(cfg: RunConfig) -> int:
     scenario, matrices, out = _prepare(cfg)
     open_ids = set(scenario.existing_site_ids)
     fields, coverage = _score_groups(scenario, matrices, open_ids, cfg.gamma, bin_spec)
+    out.mkdir(parents=True, exist_ok=True)
     _write_layout(out, scenario, open_ids, fields, coverage, bin_spec)
     _dump_matrices(out, matrices, cfg)
     print(f"scored existing layout ({len(open_ids)} sites) into {out}")
@@ -406,12 +408,12 @@ def cmd_solve(cfg: RunConfig) -> int:
     check_budget(cfg.budget)
     scenario, matrices, out = _prepare(cfg)
 
+    result = optimize(scenario, matrices, params, budget=cfg.budget, bins=bin_spec)
     baseline_open = set(scenario.existing_site_ids)
     _, before = _score_groups(scenario, matrices, baseline_open, cfg.gamma, bin_spec)
+    out.mkdir(parents=True, exist_ok=True)
     for name, report in before.items():
         _write_json(out / f"coverage_{name}_before.json", _coverage_payload(report))
-
-    result = optimize(scenario, matrices, params, budget=cfg.budget, bins=bin_spec)
     _write_json(out / "result.json", _result_payload(result))
     opened = baseline_open | set(result.layout.open_candidates)
     _write_layout(out, scenario, opened, result.per_group_fields, result.coverage, bin_spec)
@@ -429,6 +431,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     result = exhaustive_oracle(scenario, matrices, params,
                                max_pool=cfg.max_pool, bins=bin_spec)
     payload = {"oracle": True, **_result_payload(result)}
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "result_oracle.json", payload)
     print(f"oracle: k={result.layout.k} objective={result.objective} "
           f"{'feasible' if result.feasible else 'infeasible'}")

@@ -140,7 +140,8 @@ class PopulationGroup:
     @property
     def t_sigma_min(self) -> float:
         """Travel-time threshold: the group's maximum walk at its own speed."""
-        return self.max_walk_m / self.walk_speed_m_per_min
+        # Python floats: a numpy quotient would warn before the refusal
+        return float(self.max_walk_m) / float(self.walk_speed_m_per_min)
 
 
 DEFAULT_GROUPS = (

@@ -10,16 +10,23 @@ and bound over candidate subsets doubles as ground truth on pools of up to
 ``MAX_POOL_CEILING`` candidates.
 
 Each search step screens, then confirms.  The screen costs every move of
-the step at once from the current layout's field: the field after a move
-is ``F - gamma * W[out] + gamma * W[in]``, and a rounding-error bound
-turns it into a certain lower bound on the move's objective and shortfall,
-and a certain verdict on moves that must be infeasible.  Moves that cannot
-win are dropped; the rest are evaluated canonically in order of their lower
-bound until the next bound exceeds the best confirmed value, and the
-winner is chosen by the same keys as a full scan.  The search therefore
-takes the same moves as evaluating every layout, with bit-identical
-objectives, at the cost of a few canonical evaluations per step.  The
-oracle screens whole subtrees of layouts the same way.
+the step at once from the current layout's field F, and a rounding-error
+bound turns each cost into a certain lower bound on the move's objective
+(and greedy's shortfall), and a certain verdict on moves that must be
+infeasible.  Greedy screens the field ``F + gamma * W[in]`` of each site it
+may open.  Local search costs every drop and swap with products: with
+x = F - a_sigma and o, n the rows a move closes and opens, the squared
+deviation after it is x.x + (o.o - 2 o.x) + (n.n + 2 n.x) - 2 o.n, the drop
+gain / add gain / interaction split of Whitaker's fast interchange (1983)
+and of Resende and Werneck's swap local search (2007).  A step takes a few
+matrix-vector products and the candidates' Gram matrix, made once.  Moves
+that cannot win are dropped; the rest are evaluated canonically in order
+of their lower bound until the next bound exceeds the best confirmed
+value, and the winner is chosen by the same keys as a full scan.  The
+search therefore takes the same moves as evaluating every layout, with
+bit-identical objectives, at the cost of a few canonical evaluations per
+step.  The oracle screens whole subtrees of layouts the way greedy
+screens its moves.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -167,8 +175,9 @@ class _Evaluator:
     as ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible:
     it is the canonical value on which every search decision is made, and
     ``evaluate_block`` gives each of a block of layouts the same bits.
-    ``_MoveBlock`` screens moves from fields that are not summed
-    canonically, within the rounding bounds ``field_tol`` and ``sum_tol``.
+    ``_MoveBlock`` and ``_drop_swap_bounds`` screen moves from fields that
+    are not summed canonically, within the rounding bounds ``field_tol``
+    and ``sum_tol``.
     """
 
     def __init__(self, scenario: Scenario, matrices, params: ObjectiveParams):
@@ -188,6 +197,16 @@ class _Evaluator:
         self.n_demands = len(scenario.demands)
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
         self.sum_tol = 2 * (self.n_demands + len(self.catchments) + 16) * _EPS
+        # fields only grow as sites open, so this bounds every layout's objective
+        top = self.fields(self.candidate_ids)[params.primary_group] - params.a_sigma
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = params.alpha * len(self.candidate_ids) + params.beta * np.sum(
+                np.maximum(params.a_sigma, top) ** 2)
+        if not math.isfinite(bound):
+            raise ValidationError(
+                f"the objective can overflow: alpha * {len(self.candidate_ids)} + "
+                "beta * (squared deviations with every site open) is not finite "
+                f"(alpha {params.alpha:g}, beta {params.beta:g}, gamma {params.gamma:g})")
 
     def open_indices(self, open_candidates) -> np.ndarray:
         """The layout's open sites, existing ones included, as a (1, k) row."""
@@ -205,6 +224,12 @@ class _Evaluator:
         """gamma * W for these sites, one C-contiguous row each (len(site_ids) x D)."""
         return self.params.gamma * self.catchments[group].W[
             [self.site_index[s] for s in site_ids]]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Products of the primary group's rows for every pair of candidates."""
+        rows = self.rows(self.params.primary_group, self.candidate_ids)
+        return np.einsum("ij,kj->ik", rows, rows)
 
     def evaluate_block(self, open_idx: np.ndarray):
         """(objective, feasible, total squared shortfall) arrays for B layouts.
@@ -350,16 +375,12 @@ def is_feasible(
 def _moves(ev: _Evaluator, current):
     """The closed candidates, the fields of ``current`` and a screen of its moves.
 
-    Row 0 of the screen opens nothing and row 1 + q opens the q-th closed
-    candidate, in ``candidate_ids`` order; the ``base`` a caller passes
-    closes a site, when the move does.
+    Row q of the screen opens the q-th closed candidate, in ``candidate_ids``
+    order.
     """
     closed = [c for c in ev.candidate_ids if c not in current]
     fields = ev.fields(current)
-    added = {}
-    for g in fields:
-        added[g] = np.zeros((1 + len(closed), ev.n_demands))
-        added[g][1:] = ev.rows(g, closed)
+    added = {g: ev.rows(g, closed) for g in fields}
     return closed, fields, _MoveBlock(ev, fields, added)
 
 
@@ -375,8 +396,8 @@ def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]], bool]:
     feasible = ev.feasible(open_ids)
     while not feasible and len(open_ids) < len(ev.candidate_ids):
         closed, fields, screen = _moves(ev, open_ids)
-        objective_lo = screen.objective(fields, len(open_ids) + 1)[1:]
-        shortfall_lo = screen.shortfall(fields)[1:]
+        objective_lo = screen.objective(fields, len(open_ids) + 1)
+        shortfall_lo = screen.shortfall(fields)
         best = None
         for t in np.lexsort((objective_lo, shortfall_lo)):
             if best is not None and (shortfall_lo[t] > best[0] or (
@@ -408,27 +429,76 @@ def greedy_construct(
     return Layout(frozenset(open_ids))
 
 
+def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
+    """Certain bounds on ``evaluate`` for every drop and swap from ``current``.
+
+    Returns (outs, closed, objective lower bounds, maybe feasible): row r of
+    the two (len(outs), 1 + len(closed)) arrays closes ``outs[r]``, column 0
+    drops it and column 1 + q swaps in ``closed[q]``.
+
+    Let x = F - a_sigma for the canonical primary field F, and o and n the
+    rows of the sites a move closes and opens (n = 0 for a drop).  The
+    move's squared deviation is the sum of (x - o + n)^2 = x.x + (o.o -
+    2 o.x) + (n.n + 2 n.x) - 2 o.n: three row products a side, and the o.n
+    of the candidates' ``gram``.  Whatever the order of its sums, each dot
+    product is off by at most D unit roundoffs times its magnitude, and
+    the magnitudes sum to (|x| + o + n)^2; ``sum_tol`` covers that four
+    times over, and with it the rounding of x and of the bound itself.
+    The canonical field after the move is within ``field_tol * (F + n)``
+    of F - o + n, which lowers each square by at most twice that times
+    |x| + o + n.  A point that closing ``out`` alone leaves certainly
+    below the floor must be lifted by n, so feasibility is checked on
+    those points alone, with ``_MoveBlock``'s field bounds.
+    """
+    p = ev.params
+    outs = sorted(current)
+    closed = [c for c in ev.candidate_ids if c not in current]
+    is_open = np.array([c in current for c in ev.candidate_ids], dtype=bool)
+    fields = ev.fields(current)
+    closing = {g: ev.rows(g, outs) for g in fields}
+    opened = {g: np.vstack([np.zeros(ev.n_demands), ev.rows(g, closed)]) for g in fields}
+    maybe_feasible = np.ones((len(outs), 1 + len(closed)), dtype=bool)
+    floor = p.a_sigma - FEASIBILITY_TOL
+    for g in p.constraint_groups:
+        base = fields[g] - closing[g]
+        high = opened[g] + (ev.field_tol * (fields[g] + opened[g]) + _TINY)
+        deficit = (base + high[0] < floor) & ev.pos_mask[g]
+        for r in np.flatnonzero(deficit.any(axis=1)):
+            cols = np.flatnonzero(deficit[r])
+            maybe_feasible[r] &= ~(base[r, cols] + high[:, cols] < floor).any(axis=1)
+
+    g = p.primary_group
+    F, o, n = fields[g], closing[g], opened[g]
+    x = F - p.a_sigma
+    ax = np.abs(x)
+    xx, axF = np.einsum("i,i->", x, x), np.einsum("i,i->", ax, F)
+    oo, nn = np.einsum("ij,ij->i", o, o), np.einsum("ij,ij->i", n, n)
+    ox, oax, oF = np.einsum("ij,kj->ki", o, [x, ax, F])
+    nx, nax, nF = np.einsum("ij,kj->ki", n, [x, ax, F])
+    on = np.zeros((len(outs), 1 + len(closed)))
+    on[:, 1:] = ev.gram[np.ix_(is_open, ~is_open)]
+    squares = (xx + oo - 2 * ox)[:, None] + (nn + 2 * nx) - 2 * on
+    norm = (xx + oo + 2 * oax)[:, None] + (nn + 2 * nax) + 2 * on
+    field_err = (axF + oF)[:, None] + (nF + nn + nax) + on
+    slack = ev.sum_tol * norm + 2 * ev.field_tol * field_err
+    least = p.alpha * (len(outs) - (np.arange(1 + len(closed)) == 0))
+    # fmax: where a sum overflowed (inf - inf) only alpha * k remains
+    objective_lo = np.fmax((least + p.beta * (squares - slack)) * (1.0 - ev.sum_tol)
+                           - _TINY, least)
+    return outs, closed, objective_lo, maybe_feasible
+
+
 def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
     """The improving feasible drop or swap a full scan would take, or None.
 
     Returns (objective, position in the scan, move, layout after the move).
 
     A full scan enumerates the drops, then the swaps, each in ascending
-    site-id order, and keeps the first move of least objective.  Here all
-    moves of one site to close are screened as one block of ``_moves``:
-    row 0 drops it, row 1 + q swaps it for the q-th closed candidate.
+    site-id order, and keeps the first move of least objective.  Here
+    ``_drop_swap_bounds`` screens every move of the step at once.
     """
-    outs = sorted(current)
-    closed, fields, screen = _moves(ev, current)
-    n_open = np.full(1 + len(closed), len(current))
-    n_open[0] -= 1
+    outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
     threshold = current_obj - IMPROVEMENT_TOL
-    objective_lo = np.empty((len(outs), 1 + len(closed)))
-    maybe_feasible = np.empty(objective_lo.shape, dtype=bool)
-    for r, out in enumerate(outs):
-        base = {g: field - ev.rows(g, [out])[0] for g, field in fields.items()}
-        objective_lo[r] = screen.objective(base, n_open)
-        maybe_feasible[r] = screen.maybe_feasible(base)
     rows, cols = np.nonzero(maybe_feasible & ~(objective_lo >= threshold))
     scan_pos = np.where(cols == 0, rows, len(outs) + rows * len(closed) + cols - 1)
     lows = objective_lo[rows, cols]

@@ -487,6 +487,20 @@ class TestRefusedAtBoundary:
             f"threshold (max walk / walk speed) must be finite and > 0, got {shown}\n")
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "1e308"], ["--beta", "1e308"], ["--beta", "0", "--gamma", "1e200"],
+    ], ids=["alpha", "beta", "gamma"])
+    def test_objective_that_can_overflow(self, tmp_path, capsys, command, flags):
+        # finite parameters whose objective bound is not: refused after the
+        # bundle is read, before the search and before any output
+        cfg = synth_small(tmp_path / "bundle")
+        out = tmp_path / "run"
+        assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == 2
+        assert "the objective can overflow" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,message", [
         ("population_scale = -1", "population_scale must be finite and >= 0"),
         ("spacing_m = -5", "spacing_m must be finite and > 0"),

@@ -210,6 +210,12 @@ class TestTypes:
             "group 'general': travel-time threshold (max walk / walk speed) "
             f"must be finite and > 0, got {shown}")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("speed,walk", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_t_sigma_of_numpy_scalars_refused_without_warning(self, speed, walk):
+        with pytest.raises(ValidationError, match="travel-time threshold"):
+            PopulationGroup("general", np.float64(speed), np.float64(walk))
+
     def test_t_sigma_derived(self):
         assert GENERAL.t_sigma_min == 8.75
         assert ELDERLY.t_sigma_min == 10.0

@@ -14,13 +14,17 @@ import warnings
 import numpy as np
 import pytest
 
+from accessopt import optimizer
 from accessopt.accessibility import accessibility_scores
 from accessopt.geodata import FacilitySite, Scenario, generate_synthetic_scenario
 from accessopt.optimizer import (
     IMPROVEMENT_TOL,
     Layout,
     ObjectiveParams,
+    _drop_swap_bounds,
     _Evaluator,
+    _greedy,
+    _local_search,
     _MoveBlock,
     _moves,
     local_search,
@@ -218,17 +222,18 @@ def test_instances_cover_every_case():
 
 
 def screened_moves(ev, current):
-    """Screen every open, drop and swap from ``current`` with the search's
-    ``_moves``: yields (layout after the move, objective, shortfall and
-    feasibility bounds, screened primary field)."""
+    """Screen every open from ``current`` with greedy's ``_moves``, and every
+    swap with its base less the row of the site closed: yields (layout after
+    the move, objective, shortfall and feasibility bounds, screened primary
+    field)."""
     closed, fields, screen = _moves(ev, current)
     primary = ev.params.primary_group
-    added = np.vstack([np.zeros(ev.n_demands), ev.rows(primary, closed)])
+    added = ev.rows(primary, closed)
     for out in [None, *sorted(current)]:
         base = dict(fields) if out is None else {
             g: f - ev.rows(g, [out])[0] for g, f in fields.items()}
         stay = current - {out}
-        layouts = [stay] + [stay | {c} for c in closed]
+        layouts = [stay | {c} for c in closed]
         n_open = np.array([len(layout) for layout in layouts])
         bounds = zip(screen.objective(base, n_open), screen.shortfall(base),
                      screen.maybe_feasible(base))
@@ -237,8 +242,20 @@ def screened_moves(ev, current):
             yield layout, bound, trial[q]
 
 
+def drop_swap_moves(ev, current):
+    """Every drop and swap from ``current`` with local search's bounds:
+    yields (layout after the move, objective bound, maybe feasible)."""
+    outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
+    assert objective_lo.shape == maybe_feasible.shape == (len(outs), 1 + len(closed))
+    for r, out in enumerate(outs):
+        stay = current - {out}
+        layouts = [stay] + [stay | {c} for c in closed]
+        yield from zip(layouts, objective_lo[r], maybe_feasible[r])
+
+
 def assert_bounds_hold(ev, current, tight=True):
-    """Every screened bound lies on the right side of the canonical value."""
+    """Every screened bound lies on the right side of the canonical value,
+    for greedy's ``_MoveBlock`` and for local search's ``_drop_swap_bounds``."""
     disagreements = 0
     for layout, (objective_lo, shortfall_lo, maybe_feasible), trial in (
             screened_moves(ev, current)):
@@ -249,6 +266,12 @@ def assert_bounds_hold(ev, current, tight=True):
         if tight:  # close enough to the canonical value to screen
             assert objective - objective_lo <= 1e-9 * max(1.0, objective)
         disagreements += np.any(trial != ev.fields(layout)[ev.params.primary_group])
+    for layout, objective_lo, maybe_feasible in drop_swap_moves(ev, current):
+        objective, feasible, _ = ev.evaluate(layout)
+        assert objective_lo <= objective
+        assert maybe_feasible or not feasible
+        if tight:
+            assert objective - objective_lo <= 1e-9 * max(1.0, objective)
     return disagreements
 
 
@@ -261,25 +284,43 @@ def test_screen_bounds_hold(name):
         assert_bounds_hold(ev, {c for c in ev.candidate_ids if rng.random() < 0.5})
 
 
-def test_bounds_hold_where_rounding_decides():
-    """A target exactly on one layout's field: only the error bound separates
-    the screened objective from the canonical one (alpha = 0, one row)."""
-    capacities = (100.0, 200.0, 300.0, 70.0, 1100.0)
-    sites = [(f"s{j}", "candidate", cap) for j, cap in enumerate(capacities)]
+def rounding_decides(n, existing, candidates):
+    """Check the bounds with the target exactly on one layout's field, at
+    each of n equal points, for every layout: only the error bound separates
+    the screened objective from the canonical one (alpha = 0, every site
+    reaches every point).  Returns the number of moves whose screened field
+    differs from the canonical one."""
+    sites = [(f"e{j}", "existing", cap) for j, cap in enumerate(existing)]
+    sites += [(f"s{j}", "candidate", cap) for j, cap in enumerate(candidates)]
     scenario, matrices = table_scenario(
-        [("d1", {"general": 1000})], sites, (GENERAL,),
-        {"general": [[0.0] * len(capacities)]},
+        [(f"d{i:04d}", {"general": 1000}) for i in range(n)], sites, (GENERAL,),
+        {"general": [[0.0] * len(sites)] * n},
     )
     ev0 = _Evaluator(scenario, matrices, ObjectiveParams())
-    layouts = [set(c) for n in range(len(capacities) + 1)
-               for c in itertools.combinations(ev0.candidate_ids, n)]
+    layouts = [set(c) for k in range(len(candidates) + 1)
+               for c in itertools.combinations(ev0.candidate_ids, k)]
     disagreements = 0
     for target in layouts:
         a_sigma = float(ev0.fields(target)["general"][0])
         ev = _Evaluator(scenario, matrices, ObjectiveParams(alpha=0.0, a_sigma=a_sigma))
         for current in layouts:
             disagreements += assert_bounds_hold(ev, current, tight=False)
-    assert disagreements  # the instance does make the two sums differ
+    return disagreements
+
+
+def test_bounds_hold_where_rounding_decides():
+    # the instance does make the two sums differ
+    assert rounding_decides(1, (), (100.0, 200.0, 300.0, 70.0, 1100.0))
+
+
+@pytest.mark.parametrize("n, existing, candidates", [
+    # each dot product of local search's screen adds 1000 equal terms
+    (1000, (), (0.1, 0.2, 0.3, 0.07, 1.1)),
+    # the field's rounding dwarfs the rows that a move changes
+    (1, tuple(100.0 + 7.3 * j for j in range(40)), (1e-5, 2.3e-5, 3.1e-5, 0.7e-5)),
+], ids=["equal points", "large base"])
+def test_drop_swap_bounds_hold_where_rounding_decides(n, existing, candidates):
+    rounding_decides(n, existing, candidates)
 
 
 def test_bounds_hold_for_long_sums():
@@ -297,24 +338,27 @@ def test_bounds_hold_for_long_sums():
 
 
 def weaken_bounds(monkeypatch, seed):
-    """Make every ``_MoveBlock`` bound randomly weaker, but still a bound."""
+    """Make every ``_MoveBlock`` and ``_drop_swap_bounds`` bound randomly
+    weaker, but still a bound."""
     rng = np.random.default_rng(seed)
 
-    def loosen(method):
-        def weakened(self, *args):
-            value = method(self, *args)
-            return value - rng.uniform(0.0, 0.3, value.shape) * (np.abs(value) + 1e-3)
-        return weakened
+    def lower(value):
+        return value - rng.uniform(0.0, 0.3, value.shape) * (np.abs(value) + 1e-3)
 
-    def doubt(method):
-        def weakened(self, base):
-            value = method(self, base)
-            return value | (rng.random(value.shape) < 0.3)
-        return weakened
+    def doubt(value):
+        return value | (rng.random(value.shape) < 0.3)
 
-    monkeypatch.setattr(_MoveBlock, "objective", loosen(_MoveBlock.objective))
-    monkeypatch.setattr(_MoveBlock, "shortfall", loosen(_MoveBlock.shortfall))
-    monkeypatch.setattr(_MoveBlock, "maybe_feasible", doubt(_MoveBlock.maybe_feasible))
+    def scramble(ev, current):
+        outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
+        return outs, closed, lower(objective_lo), doubt(maybe_feasible)
+
+    for name, weaken in (("objective", lower), ("shortfall", lower),
+                         ("maybe_feasible", doubt)):
+        method = getattr(_MoveBlock, name)
+        monkeypatch.setattr(_MoveBlock, name,
+                            lambda self, *args, method=method, weaken=weaken:
+                            weaken(method(self, *args)))
+    monkeypatch.setattr(optimizer, "_drop_swap_bounds", scramble)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -326,3 +370,19 @@ def test_any_valid_bounds_give_the_same_search(seed, monkeypatch):
     for name in sorted(INSTANCES):
         (scenario, matrices, params), (trace, _), _, _ = outcome(name)
         assert optimize(scenario, matrices, params).trace == tuple(trace), name
+
+
+def test_local_search_confirms_about_one_layout_per_move():
+    """The screen is tight enough that a step confirms about one move: at
+    most two canonical evaluations per move taken on a 26x26 city."""
+    scenario = generate_synthetic_scenario(1, grid_rows=26, grid_cols=26,
+                                           n_existing=20, n_candidate=90)
+    ev = _Evaluator(scenario, build_travel_time_matrices(scenario), ObjectiveParams())
+    start, _, feasible = _greedy(ev)
+    assert feasible
+    calls = []
+    evaluate = ev.evaluate
+    ev.evaluate = lambda layout: calls.append(layout) or evaluate(layout)
+    _, moves = _local_search(ev, start, 1000)
+    assert len(moves) >= 10
+    assert len(calls) <= 2 * len(moves)
