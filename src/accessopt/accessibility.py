@@ -13,9 +13,12 @@ beyond it.
 
 One ``_Catchment`` per group computes the site ratios and ``W = weights *
 ratios`` once, stored site-major: one row of demand values per site.  A
-layout's score is ``gamma`` times the sum of its open sites' rows, added one
-after another in ascending site order.  Scoring, the conservation check and
-the search all read it, so they agree to the bit.  Any other order, such as
+site's ratio reads only its own column of travel times, its weighted demand
+added one demand point after another.  A layout's score is ``gamma`` times
+the sum of its open sites' rows, added one after another in ascending site
+order.  The search reads the catchment of every site; scoring and the
+conservation check build one of the open sites alone, which has the same
+ratios and rows, so all three agree to the bit.  Any other order, such as
 a pairwise sum of a demand point's non-zero entries, would round
 differently and change the published scores.
 """
@@ -108,7 +111,13 @@ class _Catchment:
         self.demand_ids = matrix.demand_order
         self.pop = np.array([d.pop_of(self.group) for d in demands], dtype=float)
         weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-        denom = (weights * self.pop[:, None]).sum(axis=0)
+        weighted = weights * self.pop[:, None]
+        # numpy adds down the columns of a C-ordered array one row after
+        # another, but sums a lone column pairwise
+        if weighted.shape[1] == 1 and len(weighted):
+            denom = np.cumsum(weighted, axis=0)[-1]
+        else:
+            denom = weighted.sum(axis=0)
         supply = np.array([s.capacity for s in sites], dtype=float)
         self.ratios = np.zeros_like(denom)
         np.divide(supply, denom, out=self.ratios, where=denom > 0.0)
@@ -162,6 +171,32 @@ def supply_demand_ratios(
     return _Catchment(matrix, demands, sites).ratios
 
 
+def _open_catchment(scenario: Scenario, matrix: TravelTimeMatrix,
+                    open_sites) -> tuple[_Catchment, list[FacilitySite]]:
+    """The catchment of the open sites alone, and those sites in its order.
+
+    ``matrix`` may hold any of the scenario's sites, in scenario order, but
+    must hold every open one; only the open columns are weighed.
+    """
+    open_set = set(open_sites)
+    position = {sid: j for j, sid in enumerate(scenario.site_ids)}
+    unknown = sorted(open_set - position.keys())
+    if unknown:
+        raise ValidationError(f"unknown site id(s) in open set: {', '.join(unknown)}")
+    order = [position.get(sid, -1) for sid in matrix.site_order]
+    if any(j <= i for i, j in zip([-1, *order], order)):
+        raise ValidationError("matrix site order does not follow the scenario's sites")
+    uncovered = sorted(open_set - set(matrix.site_order))
+    if uncovered:
+        raise ValidationError(f"matrix does not cover open site(s): {', '.join(uncovered)}")
+    cols = [j for j, sid in enumerate(matrix.site_order) if sid in open_set]
+    if len(cols) < len(order):
+        matrix = TravelTimeMatrix(matrix.group, matrix.times_min[:, cols],
+                                  matrix.demand_order, [matrix.site_order[j] for j in cols])
+    sites = [scenario.sites[position[sid]] for sid in matrix.site_order]
+    return _Catchment(matrix, scenario.demands, sites), sites
+
+
 def accessibility_scores(
     scenario: Scenario,
     matrix: TravelTimeMatrix,
@@ -172,16 +207,12 @@ def accessibility_scores(
 
     Per demand point: gamma times the sum, over reachable open sites, of the
     kernel weight times that site's supply-to-demand ratio.  Demand with no
-    reachable open site scores 0.
+    reachable open site scores 0.  ``matrix`` needs the open sites' columns
+    only (see ``_open_catchment``).
     """
     _check_positive(gamma, "gamma")
-    open_set = set(open_sites)
-    unknown = sorted(open_set - set(scenario.site_ids))
-    if unknown:
-        raise ValidationError(f"unknown site id(s) in open set: {', '.join(unknown)}")
-    open_idx = np.array([[j for j, sid in enumerate(matrix.site_order) if sid in open_set]],
-                        dtype=np.intp)
-    return _Catchment(matrix, scenario.demands, scenario.sites).scores(open_idx, gamma)
+    catchment, sites = _open_catchment(scenario, matrix, open_sites)
+    return catchment.scores(np.arange(len(sites), dtype=np.intp)[None, :], gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -284,20 +315,17 @@ def conservation_check(
     With gamma = 1 the population-weighted sum of scores redistributes
     exactly the capacity of the open non-idle sites, so the result is 0 up
     to rounding.  Defined as 0 when nothing is open (both sums empty).
+    ``matrix`` needs the open sites' columns only, as for
+    ``accessibility_scores``.
     """
     if field.gamma != 1.0:
         raise ValidationError("conservation identity requires gamma = 1")
     if field.group != matrix.group.name:
         raise ValidationError(f"field of group '{field.group}' is not the matrix's group")
-    open_set = set(open_sites)
-    catchment = _Catchment(matrix, scenario.demands, scenario.sites)
+    catchment, sites = _open_catchment(scenario, matrix, open_sites)
     if set(field.scores) != set(catchment.demand_ids):
         raise ValidationError("field scores do not cover exactly the matrix's demand")
-    supply = sum(
-        s.capacity
-        for j, s in enumerate(scenario.sites)
-        if s.site_id in open_set and catchment.ratios[j] > 0.0
-    )
+    supply = sum(s.capacity for s, ratio in zip(sites, catchment.ratios) if ratio > 0.0)
     if supply <= 0.0:
         return 0.0
     served = float(np.sum(catchment.pop * [field.scores[d] for d in catchment.demand_ids]))

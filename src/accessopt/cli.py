@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .accessibility import (
@@ -234,31 +235,53 @@ def _result_payload(result: OptimizationResult) -> dict:
     }
 
 
-def _feature(location, properties: dict) -> dict:
-    return {
-        "type": "Feature",
-        "geometry": {"type": "Point", "coordinates": [location.lon, location.lat]},
-        "properties": properties,
-    }
+def _json_leaf(value) -> str:
+    """``value`` as ``_write_json`` writes it inside a document."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
-def _geojson_payload(scenario: Scenario, open_ids, fields, bin_spec) -> dict:
-    labels = [label for label, _ in bin_spec]
+def _feature_template(keys) -> str:
+    """One feature as ``json.dumps(indent=2)`` lays it out in the collection,
+    with a ``%s`` for its lon, its lat and the value of each property."""
+    props = ",\n".join(f"        {_json_leaf(key).replace('%', '%%')}: %s" for key in keys)
+    return ('    {\n      "type": "Feature",\n      "geometry": {\n'
+            '        "type": "Point",\n        "coordinates": [\n'
+            '          %s,\n          %s\n        ]\n      },\n'
+            f'      "properties": {{\n{props}\n      }}\n    }}')
+
+
+def _write_geojson(path: Path, scenario: Scenario, open_ids, fields, bin_spec) -> None:
+    """Every site, then every demand point with its scores, as a GeoJSON
+    FeatureCollection: the bytes of ``_write_json`` on the same dicts."""
+    labels = [_json_leaf(label) for label, _ in bin_spec]
     bounds = [lower for _, lower in bin_spec]
+    site = _feature_template(("site_id", "status", "opened", "capacity"))
     features = [
-        _feature(s.location, {"site_id": s.site_id, "status": s.status,
-                              "opened": s.site_id in open_ids, "capacity": s.capacity})
+        site % tuple(map(_json_leaf, (s.location.lon, s.location.lat, s.site_id,
+                                      s.status, s.site_id in open_ids, s.capacity)))
         for s in scenario.sites
     ]
+    demand = _feature_template(["demand_id", *(f"{prefix}_{name}" for name in fields
+                                               for prefix in ("A", "bin", "pop"))])
     for d in scenario.demands:
-        props = {"demand_id": d.demand_id}
+        leaves = [_json_leaf(d.location.lon), _json_leaf(d.location.lat),
+                  _json_leaf(d.demand_id)]
         for name, field in fields.items():
             score = field.scores[d.demand_id]
-            props[f"A_{name}"] = score
-            props[f"bin_{name}"] = labels[assign_bin(bounds, score)]
-            props[f"pop_{name}"] = d.pop_of(name)
-        features.append(_feature(d.location, props))
-    return {"type": "FeatureCollection", "features": features}
+            leaves += (_json_leaf(score), labels[assign_bin(bounds, score)],
+                       _json_leaf(d.pop_of(name)))
+        features.append(demand % tuple(leaves))
+    text = ",\n".join(features)
+    path.write_text('{\n  "type": "FeatureCollection",\n  "features": [\n'
+                    f"{text}\n  ]\n}}\n", encoding="utf-8")
 
 
 def _write_layout(out: Path, scenario: Scenario, open_ids, fields, coverage,
@@ -269,8 +292,7 @@ def _write_layout(out: Path, scenario: Scenario, open_ids, fields, coverage,
         write_csv(out / f"accessibility_{name}.csv", ("demand_id", "group", "A"),
                   ((did, field.group, score) for did, score in field.scores.items()))
         _write_json(out / f"coverage_{name}.json", _coverage_payload(coverage[name]))
-    _write_json(out / "layout.geojson",
-                _geojson_payload(scenario, open_ids, fields, bin_spec))
+    _write_geojson(out / "layout.geojson", scenario, open_ids, fields, bin_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +315,11 @@ def _bin_spec(cfg: RunConfig):
     return _check_bins(spec)
 
 
-def _prepare(cfg: RunConfig):
+def _prepare(cfg: RunConfig, existing_only: bool = False):
     """The scenario, its travel-time matrices and the output directory.
 
-    The directory is made only when a command writes into it.
+    The matrices hold the existing sites only if ``existing_only``, else
+    every site.  The directory is made only when a command writes into it.
     """
     paths = []
     for key in ("nodes", "edges", "demand", "sites"):
@@ -307,8 +330,10 @@ def _prepare(cfg: RunConfig):
         else:
             raise ValidationError(f"no {key} file configured (set '{key}' or 'bundle')")
     scenario = load_scenario(*paths, groups=cfg.groups, default_capacity=cfg.capacity)
+    sites = [s for s in scenario.sites if s.existing] if existing_only else None
     matrices = build_travel_time_matrices(
-        scenario, include_snap_distance=cfg.include_snap, snap_warn_m=cfg.snap_warn_m
+        scenario, include_snap_distance=cfg.include_snap, snap_warn_m=cfg.snap_warn_m,
+        sites=sites,
     )
     return scenario, matrices, Path(cfg.out)
 
@@ -392,7 +417,8 @@ def _score_groups(scenario: Scenario, matrices, open_ids, gamma: float, bin_spec
 
 def cmd_score(cfg: RunConfig) -> int:
     bin_spec = _bin_spec(cfg)
-    scenario, matrices, out = _prepare(cfg)
+    # the dumped matrices list every site; the scores need the existing ones only
+    scenario, matrices, out = _prepare(cfg, existing_only=not cfg.dump_matrix)
     open_ids = set(scenario.existing_site_ids)
     fields, coverage = _score_groups(scenario, matrices, open_ids, cfg.gamma, bin_spec)
     out.mkdir(parents=True, exist_ok=True)

@@ -15,11 +15,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .geodata import (
     Coordinate,
+    FacilitySite,
     PopulationGroup,
     RoadNetwork,
     Scenario,
@@ -243,7 +245,8 @@ class TravelTimeMatrix:
     """Walk minutes from each site (column) to each demand point (row).
 
     Entries are ``UNREACHABLE`` (inf) beyond the group's maximum walk
-    distance or where no path exists.
+    distance or where no path exists.  The columns may be any of a
+    scenario's sites, in its order.  The times are kept in C order.
     """
 
     group: PopulationGroup
@@ -252,7 +255,7 @@ class TravelTimeMatrix:
     site_order: tuple[str, ...]
 
     def __post_init__(self):
-        t = np.asarray(self.times_min, dtype=float)
+        t = np.ascontiguousarray(self.times_min, dtype=float)
         object.__setattr__(self, "times_min", t)
         object.__setattr__(self, "demand_order", tuple(self.demand_order))
         object.__setattr__(self, "site_order", tuple(self.site_order))
@@ -279,13 +282,13 @@ class TravelTimeMatrix:
 
 
 def _distances(scenario: Scenario, limit_m: float, include_snap_distance: bool,
-               snap_warn_m: float) -> np.ndarray:
-    """Demand x site walk meters, ``inf`` beyond ``limit_m`` (before the legs)."""
+               snap_warn_m: float, sites: Sequence[FacilitySite]) -> np.ndarray:
+    """Demand x ``sites`` walk meters, ``inf`` beyond ``limit_m`` (before the legs)."""
     if not scenario.network.nodes:
         raise ValidationError("scenario network has no nodes")
     n_demands = len(scenario.demands)
     snaps = _snap_points(
-        [d.location for d in scenario.demands] + [s.location for s in scenario.sites],
+        [d.location for d in scenario.demands] + [s.location for s in sites],
         scenario.network, snap_warn_m, stacklevel=4,
     )
     demand_snaps, site_snaps = snaps[:n_demands], snaps[n_demands:]
@@ -294,7 +297,7 @@ def _distances(scenario: Scenario, limit_m: float, include_snap_distance: bool,
         rows_at.setdefault(demand_node, []).append(i)
 
     adj = _adjacency(scenario.network)
-    dist = np.full((n_demands, len(scenario.sites)), UNREACHABLE)
+    dist = np.full((n_demands, len(sites)), UNREACHABLE)
     for j, (site_node, site_leg) in enumerate(site_snaps):
         for node, base in _dijkstra(adj, site_node, limit_m).items():
             for i in rows_at.get(node, ()):
@@ -310,9 +313,12 @@ def distance_matrix_m(
     *,
     include_snap_distance: bool = False,
     snap_warn_m: float = DEFAULT_SNAP_WARN_M,
+    sites: Sequence[FacilitySite] | None = None,
 ) -> np.ndarray:
     """Network walk distance in meters between every demand point and site.
 
+    The columns are ``sites``, by default every site of the scenario; only
+    the demand points and these sites are snapped, and warned about.
     One shortest-path search per site, from its snapped node.  Each search
     stops at the largest ``max_walk_m`` of ``scenario.groups``, so a pair
     is ``inf`` when its network distance exceeds that limit, as well as
@@ -324,7 +330,8 @@ def distance_matrix_m(
     is within it without them, and the search is cut at the same limit.
     """
     limit_m = max(g.max_walk_m for g in scenario.groups)
-    return _distances(scenario, limit_m, include_snap_distance, snap_warn_m)
+    sites = scenario.sites if sites is None else sites
+    return _distances(scenario, limit_m, include_snap_distance, snap_warn_m, sites)
 
 
 def build_travel_time_matrix(
@@ -334,24 +341,28 @@ def build_travel_time_matrix(
     dist_m: np.ndarray | None = None,
     include_snap_distance: bool = False,
     snap_warn_m: float = DEFAULT_SNAP_WARN_M,
+    sites: Sequence[FacilitySite] | None = None,
 ) -> TravelTimeMatrix:
     """Travel-time matrix for one group: distance over walk speed, capped.
 
     Pairs farther apart than the group's maximum walk distance are
-    ``UNREACHABLE``.  Pass ``dist_m`` to reuse one distance computation
-    across groups; one from ``distance_matrix_m`` is ``inf`` beyond the
-    largest walk limit of ``scenario.groups``, so it serves only groups
-    within that limit.
+    ``UNREACHABLE``.  The columns are ``sites``, by default every site of
+    the scenario.  Pass ``dist_m``, with the same columns, to reuse one
+    distance computation across groups; one from ``distance_matrix_m`` is
+    ``inf`` beyond the largest walk limit of ``scenario.groups``, so it
+    serves only groups within that limit.
     """
+    sites = scenario.sites if sites is None else sites
     if dist_m is None:
         limit_m = max(g.max_walk_m for g in (*scenario.groups, group))
-        dist_m = _distances(scenario, limit_m, include_snap_distance, snap_warn_m)
+        dist_m = _distances(scenario, limit_m, include_snap_distance, snap_warn_m, sites)
     times = np.where(
         dist_m <= group.max_walk_m,
         dist_m / group.walk_speed_m_per_min,
         UNREACHABLE,
     )
-    return TravelTimeMatrix(group, times, scenario.demand_ids, scenario.site_ids)
+    return TravelTimeMatrix(group, times, scenario.demand_ids,
+                            [s.site_id for s in sites])
 
 
 def build_travel_time_matrices(
@@ -359,15 +370,21 @@ def build_travel_time_matrices(
     *,
     include_snap_distance: bool = False,
     snap_warn_m: float = DEFAULT_SNAP_WARN_M,
+    sites: Sequence[FacilitySite] | None = None,
 ) -> dict[str, TravelTimeMatrix]:
-    """One matrix per scenario group, sharing a single distance computation."""
+    """One matrix per scenario group, sharing a single distance computation.
+
+    The columns are ``sites``, by default every site of the scenario: one
+    search per site.
+    """
     dist = distance_matrix_m(
         scenario,
         include_snap_distance=include_snap_distance,
         snap_warn_m=snap_warn_m,
+        sites=sites,
     )
     return {
-        g.name: build_travel_time_matrix(scenario, g, dist_m=dist)
+        g.name: build_travel_time_matrix(scenario, g, dist_m=dist, sites=sites)
         for g in scenario.groups
     }
 

@@ -129,7 +129,7 @@ def test_ratios_match_reference(seed):
         assert want[-1] == 0.0
         for j, site in enumerate(scenario.sites):
             one = supply_demand_ratio(site, matrices[g.name], scenario.demands)
-            assert one.ratio == pytest.approx(want[j], rel=1e-12)
+            assert one.ratio == want[j]
             assert one.idle == (want[j] == 0.0)
 
 
@@ -150,6 +150,74 @@ def test_scores_and_evaluator_match_reference(seed):
             assert want[0] == 0.0
             if g.name in fields:
                 assert fields[g.name].tobytes() == want.tobytes()
+
+
+def columns(matrix, site_ids):
+    """``matrix`` cut to the columns of ``site_ids``, in matrix order."""
+    cols = [j for j, sid in enumerate(matrix.site_order) if sid in site_ids]
+    return TravelTimeMatrix(matrix.group, matrix.times_min[:, cols], matrix.demand_order,
+                            [matrix.site_order[j] for j in cols])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_open_columns_alone_match_full_matrix(seed):
+    """Scoring and the conservation check weigh the open sites' columns only:
+    a matrix of just those columns, or of every column in Fortran order,
+    gives the full matrix's results to the bit, one open site included."""
+    scenario, matrices, params, rng = random_instance(seed)
+    existing = set(scenario.existing_site_ids)
+    layouts = [existing | subset for subset in open_sets(scenario, rng)]
+    layouts += [{sid} for sid in scenario.site_ids]
+    for open_ids in layouts:
+        for g in GROUPS:
+            full = matrices[g.name]
+            narrow = columns(full, open_ids)
+            fortran = TravelTimeMatrix(full.group, np.asfortranarray(full.times_min),
+                                       full.demand_order, full.site_order)
+            want = accessibility_scores(scenario, full, open_ids, params.gamma)
+            unit = accessibility_scores(scenario, full, open_ids)
+            gap = conservation_check(unit, scenario, open_ids, full)
+            ref = reference_field(scenario, full, open_ids, params.gamma)
+            assert want.vector().tobytes() == ref.tobytes()
+            for matrix in (narrow, fortran):
+                got = accessibility_scores(scenario, matrix, open_ids, params.gamma)
+                assert got == want
+                assert got.vector().tobytes() == want.vector().tobytes()
+                assert conservation_check(unit, scenario, open_ids, matrix) == gap
+
+
+@pytest.mark.parametrize("reader", ["accessibility_scores", "conservation_check"])
+def test_open_site_outside_the_matrix_is_named(reader):
+    """An open site the matrix lacks is refused by name, not indexed past."""
+    scenario, matrices, _, _ = random_instance(3)
+    full = matrices["general"]
+    kept, dropped = scenario.site_ids[:-2], scenario.site_ids[-2:]
+    narrow = columns(full, kept)
+    field = accessibility_scores(scenario, full, scenario.site_ids)
+    calls = {
+        "accessibility_scores": lambda: accessibility_scores(scenario, narrow,
+                                                             scenario.site_ids),
+        "conservation_check": lambda: conservation_check(field, scenario,
+                                                         scenario.site_ids, narrow),
+    }
+    with pytest.raises(ValidationError,
+                       match=f"matrix does not cover open site\\(s\\): {', '.join(dropped)}$"):
+        calls[reader]()
+
+
+@pytest.mark.parametrize("reader", ["accessibility_scores", "conservation_check"])
+def test_matrix_site_outside_the_scenario_refused(reader):
+    scenario, matrices, _, _ = random_instance(3)
+    full = matrices["general"]
+    stranger = TravelTimeMatrix(full.group, full.times_min, full.demand_order,
+                                (*full.site_order[:-1], "nowhere"))
+    field = accessibility_scores(scenario, full, ())
+    calls = {
+        "accessibility_scores": lambda: accessibility_scores(scenario, stranger, ()),
+        "conservation_check": lambda: conservation_check(field, scenario, (), stranger),
+    }
+    with pytest.raises(ValidationError, match="site order"):
+        calls[reader]()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from accessopt import cli
 from accessopt.cli import (
     _build_parser,
     _write_json,
@@ -285,9 +286,25 @@ class TestNonFiniteInput:
         assert code == 2
         assert f"{bundle / 'sites.csv'}:3:" in capsys.readouterr().err
 
-    def test_json_writer_refuses_nan(self, tmp_path):
+    def test_json_writer_refuses_nan(self, tmp_path, monkeypatch, capsys):
         with pytest.raises(ValueError):
             _write_json(tmp_path / "x.json", {"objective": float("nan")})
+        # the layout writer too: a closed site's capacity is never scored, so
+        # a NaN forced past its check reaches layout.geojson
+        cfg = synth_small(tmp_path / "bundle")
+        load = cli.load_scenario
+
+        def load_with_nan(*args, **kwargs):
+            scenario = load(*args, **kwargs)
+            candidate = next(s for s in scenario.sites if not s.existing)
+            object.__setattr__(candidate, "capacity", float("nan"))
+            return scenario
+
+        monkeypatch.setattr(cli, "load_scenario", load_with_nan)
+        out = tmp_path / "o"
+        assert main(["score", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "not JSON compliant: nan" in capsys.readouterr().err
+        assert not (out / "layout.geojson").exists()
 
     def test_edge_length_names_file_and_line(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"
