@@ -38,19 +38,7 @@ from .geodata import (
     parse_sites,
     write_scenario_bundle,
 )
-from .optimizer import (
-    CandidatePoolError,
-    Layout,
-    ObjectiveParams,
-    OptimizationResult,
-    Shortfall,
-    exhaustive_oracle,
-    greedy_construct,
-    is_feasible,
-    local_search,
-    objective_value,
-    optimize,
-)
+from .limits import CandidatePoolError
 from .routing import (
     UNREACHABLE,
     SnapDistanceWarning,
@@ -65,3 +53,25 @@ from .routing import (
 )
 
 __version__ = "0.1.0"
+
+# The search is imported when one of its names is first read (PEP 562), so
+# that the commands that never search (``synth``, ``score``) do not load it.
+_OPTIMIZER_NAMES = (
+    "Layout",
+    "ObjectiveParams",
+    "OptimizationResult",
+    "Shortfall",
+    "exhaustive_oracle",
+    "greedy_construct",
+    "is_feasible",
+    "local_search",
+    "objective_value",
+    "optimize",
+)
+
+
+def __getattr__(name: str):
+    if name in _OPTIMIZER_NAMES:
+        from . import optimizer
+        return getattr(optimizer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

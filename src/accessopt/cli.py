@@ -4,6 +4,9 @@ Every run is a pure function of its config file, input files and seed; all
 outputs land in one user-named directory with stable bytes so runs diff
 cleanly.  Exit codes: 0 success/feasible, 2 input error, 3 infeasible,
 4 candidate pool too large for the oracle.
+
+``synth`` and ``score`` never import the search: ``optimizer`` is imported
+by ``solve`` and ``oracle`` alone (see ``_load_optimizer``).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .accessibility import (
     CoverageReport,
@@ -38,18 +42,37 @@ from .geodata import (
     write_csv,
     write_scenario_bundle,
 )
-from .optimizer import (
+from .limits import (
     DEFAULT_BUDGET,
     DEFAULT_MAX_POOL,
     CandidatePoolError,
-    ObjectiveParams,
-    OptimizationResult,
     check_budget,
     check_max_pool,
-    exhaustive_oracle,
-    optimize,
 )
 from .routing import build_travel_time_matrices, write_matrix_csv
+
+if TYPE_CHECKING:
+    from .optimizer import ObjectiveParams, OptimizationResult
+
+# The optimizer's names this module calls.  They become globals here on
+# first use, through ``_load_optimizer`` or as module attributes (PEP 562),
+# and the commands call them by their global names, so a wrapper set on
+# this module (``perfbench/tracer.py`` sets some) is what runs.
+_OPTIMIZER_NAMES = ("ObjectiveParams", "exhaustive_oracle", "optimize")
+
+
+def _load_optimizer() -> None:
+    """Import the search and bind each of ``_OPTIMIZER_NAMES`` not yet bound."""
+    from . import optimizer
+    for name in _OPTIMIZER_NAMES:
+        globals().setdefault(name, getattr(optimizer, name))
+
+
+def __getattr__(name: str):
+    if name in _OPTIMIZER_NAMES:
+        _load_optimizer()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -149,12 +172,13 @@ def _convert(key: str, raw: str):
 def read_config_file(path) -> dict:
     """Flat ``key = value`` grammar with ``#`` comments; lists are comma separated.
 
-    Path values resolve relative to the config file's directory.
+    Path values resolve relative to the config file's directory.  A leading
+    UTF-8 byte order mark is skipped.
     """
     path = Path(path)
     base = path.parent
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:
@@ -248,6 +272,20 @@ def _json_leaf(value) -> str:
     return json.dumps(value)
 
 
+def _json_leaves(values: list) -> list[str]:
+    """``_json_leaf`` of each value; a column of finite floats, of ints or of
+    strings is formatted by one ``map``."""
+    kinds = set(map(type, values))
+    # the sum of finite floats may overflow, but never that of a NaN or inf
+    if kinds == {float} and math.isfinite(sum(values)):
+        return list(map(float.__repr__, values))
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds == {str}:
+        return list(map(encode_basestring_ascii, values))
+    return list(map(_json_leaf, values))
+
+
 def _feature_template(keys) -> str:
     """One feature as ``json.dumps(indent=2)`` lays it out in the collection,
     with a ``%s`` for its lon, its lat and the value of each property."""
@@ -258,30 +296,53 @@ def _feature_template(keys) -> str:
             f'      "properties": {{\n{props}\n      }}\n    }}')
 
 
+_GEOJSON_BATCH = 512  # features formatted, then written, at a time
+
+
 def _write_geojson(path: Path, scenario: Scenario, open_ids, fields, bin_spec) -> None:
     """Every site, then every demand point with its scores, as a GeoJSON
-    FeatureCollection: the bytes of ``_write_json`` on the same dicts."""
+    FeatureCollection: the bytes of ``_write_json`` on the same dicts.
+
+    The features are formatted, and written, in batches.  In each batch
+    every property is formatted a column at a time, then each feature's
+    template is filled from its row of the columns.
+    """
     labels = [_json_leaf(label) for label, _ in bin_spec]
     bounds = [lower for _, lower in bin_spec]
     site = _feature_template(("site_id", "status", "opened", "capacity"))
-    features = [
-        site % tuple(map(_json_leaf, (s.location.lon, s.location.lat, s.site_id,
-                                      s.status, s.site_id in open_ids, s.capacity)))
-        for s in scenario.sites
-    ]
     demand = _feature_template(["demand_id", *(f"{prefix}_{name}" for name in fields
                                                for prefix in ("A", "bin", "pop"))])
-    for d in scenario.demands:
-        leaves = [_json_leaf(d.location.lon), _json_leaf(d.location.lat),
-                  _json_leaf(d.demand_id)]
+
+    def site_features(sites) -> str:
+        columns = [_json_leaves(column) for column in (
+            [s.location.lon for s in sites], [s.location.lat for s in sites],
+            [s.site_id for s in sites], [s.status for s in sites],
+            [s.site_id in open_ids for s in sites], [s.capacity for s in sites],
+        )]
+        return ",\n".join(map(site.__mod__, zip(*columns)))
+
+    def demand_features(demands) -> str:
+        columns = [_json_leaves([d.location.lon for d in demands]),
+                   _json_leaves([d.location.lat for d in demands]),
+                   _json_leaves([d.demand_id for d in demands])]
         for name, field in fields.items():
-            score = field.scores[d.demand_id]
-            leaves += (_json_leaf(score), labels[assign_bin(bounds, score)],
-                       _json_leaf(d.pop_of(name)))
-        features.append(demand % tuple(leaves))
-    text = ",\n".join(features)
-    path.write_text('{\n  "type": "FeatureCollection",\n  "features": [\n'
-                    f"{text}\n  ]\n}}\n", encoding="utf-8")
+            scores = [field.scores[d.demand_id] for d in demands]
+            columns += (_json_leaves(scores),
+                        [labels[assign_bin(bounds, score)] for score in scores],
+                        _json_leaves([d.pop_of(name) for d in demands]))
+        return ",\n".join(map(demand.__mod__, zip(*columns)))
+
+    # every batch is formatted before the file is opened, so a value that
+    # JSON refuses leaves no partial file
+    batches = [features(rows[start:start + _GEOJSON_BATCH])
+               for rows, features in ((scenario.sites, site_features),
+                                      (scenario.demands, demand_features))
+               for start in range(0, len(rows), _GEOJSON_BATCH)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "type": "FeatureCollection",\n  "features": [\n')
+        for k, batch in enumerate(batches):
+            fh.write(",\n" + batch if k else batch)
+        fh.write("\n  ]\n}\n")
 
 
 def _write_layout(out: Path, scenario: Scenario, open_ids, fields, coverage,
@@ -429,6 +490,7 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    _load_optimizer()
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     check_budget(cfg.budget)
@@ -450,6 +512,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
+    _load_optimizer()
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     check_max_pool(cfg.max_pool)
@@ -485,6 +548,16 @@ _FLAG_HELP = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # the flags every command takes, made once and shared through parents=
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    # one flag per config key; build_config parses its value as a config line
+    for key, kind in _FIELD_TYPES.items():
+        if kind == "bool":
+            common.add_argument(_flag(key), action=argparse.BooleanOptionalAction,
+                                default=None)
+        else:
+            common.add_argument(_flag(key), help=_FLAG_HELP.get(key))
     parser = argparse.ArgumentParser(
         prog="accessopt",
         description="Road-network accessibility scoring and facility placement",
@@ -497,16 +570,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "oracle": ("certified optimum over candidate subsets", cmd_oracle),
     }
     for name, (help_text, func) in commands.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
-        sp.add_argument("--config", metavar="PATH", help="flat key=value config file")
-        # one flag per config key; build_config parses its value as a config line
-        for key, kind in _FIELD_TYPES.items():
-            if kind == "bool":
-                sp.add_argument(_flag(key), action=argparse.BooleanOptionalAction,
-                                default=None)
-            else:
-                sp.add_argument(_flag(key), help=_FLAG_HELP.get(key))
+        sub.add_parser(name, help=help_text, parents=[common]).set_defaults(func=func)
     return parser
 
 

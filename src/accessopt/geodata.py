@@ -5,8 +5,9 @@ Everything downstream (routing, scoring, optimization) consumes the immutable
 deterministically from a seed.
 
 Every CSV crosses the boundary through one function each way.  ``read_csv``
-checks the header, parses each cell by its column and builds one value per
-row; every error it raises names the file and, past the header, the line.
+checks the header, parses the cells a column at a time and builds one value
+per row; every error it raises names the file and, past the header, the
+line, and is the error a row-at-a-time reader would meet first.
 ``write_csv`` writes every CSV of the package, the command line's outputs
 included, and quotes only cells that need it.
 """
@@ -44,10 +45,12 @@ def _shown(value) -> str:
     return repr(value.item() if isinstance(value, np.generic) else value)
 
 
-def _check_positive(value, what: str) -> None:
-    """Refuse ``value`` unless it is finite and > 0; ``what`` names it."""
+def _check_positive(value, what: str, *names) -> None:
+    """Refuse ``value`` unless it is finite and > 0; ``what.format(*names)``
+    names it, formatted only for the refusal."""
     if not (value > 0 and math.isfinite(value)):
-        raise ValidationError(f"{what} must be finite and > 0, got {_shown(value)}")
+        raise ValidationError(
+            f"{what.format(*names)} must be finite and > 0, got {_shown(value)}")
 
 
 EXISTING = "existing"
@@ -79,7 +82,7 @@ class Edge:
     bidirectional: bool = True
 
     def __post_init__(self):
-        _check_positive(self.length_m, f"edge {self.from_id}->{self.to_id}: length_m")
+        _check_positive(self.length_m, "edge {}->{}: length_m", self.from_id, self.to_id)
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,18 @@ class RoadNetwork:
     def __post_init__(self):
         object.__setattr__(self, "nodes", dict(self.nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
-        occupied: set[tuple[str, str]] = set()
-        for e in self.edges:
-            _claim_edge(e, self.nodes, occupied)
+        clash = _first_clash(self.edges, self.nodes)
+        if clash is not None:
+            raise clash[1]
+
+    @classmethod
+    def _claimed(cls, nodes: dict[str, Coordinate], edges: tuple[Edge, ...]) -> RoadNetwork:
+        """The network of ``edges`` that ``_first_clash`` has already
+        accepted against ``nodes``; they are not checked again."""
+        network = object.__new__(cls)
+        object.__setattr__(network, "nodes", nodes)
+        object.__setattr__(network, "edges", edges)
+        return network
 
 
 def _claim_edge(edge: Edge, nodes, occupied: set[tuple[str, str]]) -> None:
@@ -111,6 +123,24 @@ def _claim_edge(edge: Edge, nodes, occupied: set[tuple[str, str]]) -> None:
         if pair in occupied:
             raise ValidationError(f"duplicate edge {pair[0]}->{pair[1]}")
     occupied.update(pairs)
+
+
+def _first_clash(edges: Sequence[Edge], nodes) -> tuple[int, ValidationError] | None:
+    """The index of the first of ``edges`` that ``_claim_edge`` refuses when
+    they are claimed in order, and its error; ``None`` if it refuses none."""
+    ends = {e.from_id for e in edges}
+    ends.update(e.to_id for e in edges)
+    pairs = [(e.from_id, e.to_id) for e in edges]
+    pairs += [(e.to_id, e.from_id) for e in edges if e.bidirectional]
+    if nodes.keys() >= ends and len(set(pairs)) == len(pairs):
+        return None
+    occupied: set[tuple[str, str]] = set()
+    for i, e in enumerate(edges):
+        try:
+            _claim_edge(e, nodes, occupied)
+        except ValidationError as exc:
+            return i, exc
+    return None
 
 
 def _claim_id(seen: set[str], label: str, value: str) -> None:
@@ -131,11 +161,11 @@ class PopulationGroup:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("group name must be non-empty")
-        _check_positive(self.walk_speed_m_per_min, f"group '{self.name}': walk speed")
-        _check_positive(self.max_walk_m, f"group '{self.name}': max walk distance")
+        _check_positive(self.walk_speed_m_per_min, "group '{}': walk speed", self.name)
+        _check_positive(self.max_walk_m, "group '{}': max walk distance", self.name)
         # the quotient of two finite positives may still overflow or underflow
-        _check_positive(self.t_sigma_min, f"group '{self.name}': travel-time threshold "
-                                          "(max walk / walk speed)")
+        _check_positive(self.t_sigma_min, "group '{}': travel-time threshold "
+                                          "(max walk / walk speed)", self.name)
 
     @property
     def t_sigma_min(self) -> float:
@@ -200,7 +230,7 @@ class FacilitySite:
                 f"site '{self.site_id}': unknown status '{self.status}' "
                 f"(expected one of {', '.join(_STATUSES)})"
             )
-        _check_positive(self.capacity, f"site '{self.site_id}': capacity")
+        _check_positive(self.capacity, "site '{}': capacity", self.site_id)
 
     @property
     def existing(self) -> bool:
@@ -231,13 +261,14 @@ class Scenario:
             ("site_id", [s.site_id for s in self.sites]),
             ("group name", [g.name for g in self.groups]),
         ):
-            seen: set[str] = set()
-            for value in ids:
-                _claim_id(seen, label, value)
+            if len(set(ids)) < len(ids):  # walk the ids only to name the first repeat
+                seen: set[str] = set()
+                for value in ids:
+                    _claim_id(seen, label, value)
         names = {g.name for g in self.groups}
         for d in self.demands:
-            unknown = sorted(set(d.population) - names)
-            if unknown:
+            if not names.issuperset(d.population):
+                unknown = sorted(set(d.population) - names)
                 raise ValidationError(
                     f"demand '{d.demand_id}' carries population for undeclared "
                     f"group(s): {', '.join(unknown)}"
@@ -273,7 +304,8 @@ class Scenario:
 # CSV reading and writing
 # ---------------------------------------------------------------------------
 
-def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build) -> list:
+def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build,
+             check: Callable[[list], tuple[int, InputError] | None] | None = None) -> list:
     """One ``build(*cells)`` per data row of the CSV at ``path``.
 
     ``columns`` maps each required header name to a cell parser, called as
@@ -281,27 +313,62 @@ def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build) -> l
     ``columns``, whatever the file's column order.  Other columns are
     ignored, blank lines skipped, and a short row reads as blank cells.  A
     missing column raises ``SchemaError``; any ``InputError`` raised while a
-    row is parsed or built comes out with ``path:line:`` in front.
+    row is parsed or built comes out with ``path:line:`` in front.  A
+    leading UTF-8 byte order mark is skipped.  ``check``, if given, is
+    called once with the built values and returns the index and error of
+    the first it refuses, or ``None``: a check of each row against the rows
+    before it.
+
+    The rows are read first and parsed a column at a time (see
+    ``_COLUMN_FORMS``).  The error raised is still the one a row-at-a-time
+    reader meets first: among the rows before the first bad cell, the first
+    that fails to build or check, else the first bad cell, in the first
+    failing column of its row.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    unread = None  # a failure to decode or split a later row, raised last
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [name for name in columns if name not in header]
         if missing:
             raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        position = {name: i for i, name in enumerate(header)}
-        cells = [(position[name], name, parse) for name, parse in columns.items()]
         width = len(header)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            row += [""] * (width - len(row))
-            try:
-                rows.append(build(*[parse(row[i], name) for i, name, parse in cells]))
-            except InputError as exc:
-                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-    return rows
+        try:
+            for row in reader:
+                if row:
+                    if len(row) < width:
+                        row += [""] * (width - len(row))
+                    rows.append(row)
+                    lines.append(reader.line_num)
+        except (csv.Error, ValueError) as exc:
+            unread = exc
+    position = {name: i for i, name in enumerate(header)}
+    parsed = []
+    bad: tuple[int, InputError] | None = None  # (row index, error) of the first bad cell
+    for name, parse in columns.items():
+        cells = list(map(operator.itemgetter(position[name]), rows))
+        values, error = _parse_column(parse, cells, name)
+        if error is not None and (bad is None or len(values) < bad[0]):
+            bad = (len(values), error)
+        parsed.append(values)
+    built = []
+    try:
+        # zip stops at the shortest column: the rows before the first bad cell
+        for cells in zip(*parsed):
+            built.append(build(*cells))
+    except InputError as exc:
+        bad = (len(built), exc)
+    if check is not None:
+        # it sees only the rows before ``bad``, so its refusal comes first
+        bad = check(built) or bad
+    if bad is not None:
+        index, exc = bad
+        raise type(exc)(f"{path}:{lines[index]}: {exc}") from None
+    if unread is not None:
+        raise unread
+    return built
 
 
 def _text(raw: str, column: str) -> str:
@@ -336,25 +403,62 @@ def _direction(raw: str, column: str) -> bool:
     return token != "0"
 
 
+def _ids(cells: list[str]) -> list[str]:
+    values = list(map(str.strip, cells))
+    if not all(values):
+        raise ValueError("empty id")
+    return values
+
+
+def _directions(cells: list[str]) -> list[bool]:
+    tokens = list(map(str.strip, cells))
+    if not {"", "0", "1"}.issuperset(tokens):
+        raise ValueError("bad direction")
+    return [token != "0" for token in tokens]
+
+
+# each cell parser's whole-column form: the same values, or a ValueError
+# somewhere, upon which ``read_csv`` runs the cell parser to find the cell
+_COLUMN_FORMS: dict[Callable, Callable[[list[str]], list]] = {
+    _text: lambda cells: list(map(str.strip, cells)),
+    _id: _ids,
+    _number: lambda cells: list(map(float, cells)),
+    _count: lambda cells: list(map(int, cells)),
+    _direction: _directions,
+}
+
+
+def _parse_column(parse, cells: list[str], column: str) -> tuple[list, InputError | None]:
+    """``(values, None)``, or the values before the first bad cell and its error."""
+    whole = _COLUMN_FORMS.get(parse)
+    if whole is not None:
+        try:
+            return whole(cells), None
+        except ValueError:
+            pass
+    values = []
+    try:
+        for raw in cells:
+            values.append(parse(raw, column))
+    except InputError as exc:
+        return values, exc
+    return values, None
+
+
 def parse_network(nodes_path, edges_path) -> RoadNetwork:
     """Read the node and edge CSVs into a validated road network."""
     nodes: dict[str, Coordinate] = {}
-    occupied: set[tuple[str, str]] = set()
 
     def node(nid: str, lon: float, lat: float) -> None:
         if nid in nodes:
             raise ValidationError(f"duplicate node_id '{nid}'")
         nodes[nid] = Coordinate(lon, lat)
 
-    def edge(from_id: str, to_id: str, length_m: float, bidirectional: bool) -> Edge:
-        built = Edge(from_id, to_id, length_m, bidirectional)
-        _claim_edge(built, nodes, occupied)
-        return built
-
     read_csv(nodes_path, {"node_id": _id, "lon": _number, "lat": _number}, node)
     edges = read_csv(edges_path, {"from_id": _text, "to_id": _text, "length_m": _number,
-                                  "bidirectional": _direction}, edge)
-    return RoadNetwork(nodes, tuple(edges))
+                                  "bidirectional": _direction}, Edge,
+                     check=lambda built: _first_clash(built, nodes))
+    return RoadNetwork._claimed(nodes, tuple(edges))
 
 
 def parse_demand(path, groups: Sequence[PopulationGroup]) -> list[DemandPoint]:
@@ -375,13 +479,16 @@ def parse_sites(path, default_capacity: float = DEFAULT_CAPACITY) -> list[Facili
     """Read facility sites; a blank capacity cell falls back to the default."""
     seen: set[str] = set()
 
-    def site(sid: str, lon: float, lat: float, status: str, capacity: str) -> FacilitySite:
+    def capacity(raw: str, column: str) -> float:
+        raw = raw.strip()
+        return _number(raw, column) if raw else default_capacity
+
+    def site(sid: str, lon: float, lat: float, status: str, cap: float) -> FacilitySite:
         _claim_id(seen, "site_id", sid)
-        capacity = _number(capacity, "capacity") if capacity else default_capacity
-        return FacilitySite(sid, Coordinate(lon, lat), status, capacity)
+        return FacilitySite(sid, Coordinate(lon, lat), status, cap)
 
     return read_csv(path, {"site_id": _id, "lon": _number, "lat": _number,
-                           "status": _text, "capacity": _text}, site)
+                           "status": _text, "capacity": capacity}, site)
 
 
 def load_scenario(

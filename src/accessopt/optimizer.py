@@ -52,23 +52,21 @@ from .accessibility import (
     supply_demand_ratios,  # noqa: F401
 )
 from .geodata import Scenario, ValidationError
+from .limits import (  # noqa: F401  (MAX_POOL_CEILING is read from here)
+    DEFAULT_BUDGET,
+    DEFAULT_MAX_POOL,
+    MAX_POOL_CEILING,
+    CandidatePoolError,
+    check_budget,
+    check_max_pool,
+)
 
 FEASIBILITY_TOL = 1e-9
 IMPROVEMENT_TOL = 1e-12
-DEFAULT_MAX_POOL = 15
-# on 12x12 cities the oracle's bounds leave at most a few hundred of the
-# 2**24 layouts to score (0.1-2 s, 2 CPUs), but nothing bounds the
-# subtrees they cannot prune, which at worst are all of them
-MAX_POOL_CEILING = 24
-DEFAULT_BUDGET = 1000
 
 _EPS = float(np.finfo(float).eps)
 # absorbs the absolute error of operations whose results underflow
 _TINY = float(np.finfo(float).tiny)
-
-
-class CandidatePoolError(RuntimeError):
-    """The oracle refused: the candidate pool exceeds the cap."""
 
 
 @dataclass(frozen=True)
@@ -136,19 +134,6 @@ class OptimizationResult:
         object.__setattr__(self, "trace", tuple(self.trace))
         if self.feasible != (not self.shortfalls):
             raise ValidationError("feasible flag contradicts the shortfall list")
-
-
-def check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValidationError(f"budget must be >= 0, got {budget}")
-
-
-def check_max_pool(max_pool: int) -> None:
-    if max_pool < 0:
-        raise ValidationError(f"max_pool must be >= 0, got {max_pool}")
-    if max_pool > MAX_POOL_CEILING:
-        raise ValidationError(f"max_pool {max_pool} exceeds the ceiling of "
-                              f"{MAX_POOL_CEILING} candidate sites")
 
 
 def _check_layout(layout: Layout, scenario: Scenario) -> None:

@@ -1,4 +1,7 @@
+import codecs
+import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -11,7 +14,7 @@ from accessopt.cli import (
     parse_groups,
     read_config_file,
 )
-from accessopt.geodata import ValidationError
+from accessopt.geodata import ValidationError, load_scenario
 from accessopt.optimizer import MAX_POOL_CEILING
 
 SMALL_SYNTH = [
@@ -81,6 +84,41 @@ class TestConfig:
         cfg = build_config(args)
         assert cfg.a_sigma == 0.25
         assert cfg.alpha == 3.0
+
+
+class TestByteOrderMark:
+    """Files that begin with a UTF-8 byte order mark, as spreadsheet exports
+    write them, read as the same files without it; nothing is written with one."""
+
+    CSV_FILES = ("nodes.csv", "edges.csv", "demand.csv", "sites.csv")
+
+    def test_marked_bundle_and_config_read_as_plain(self, tmp_path):
+        plain = tmp_path / "plain"
+        synth_small(plain)
+        marked = tmp_path / "marked"
+        shutil.copytree(plain, marked)
+        for name in (*self.CSV_FILES, "run.cfg"):
+            path = marked / name
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+
+        def config(directory):
+            args = _build_parser().parse_args(["score", "--config", str(directory / "run.cfg")])
+            return build_config(args)
+
+        cfg = config(marked)
+        assert cfg.bundle == str(marked.resolve())
+        assert dataclasses.replace(cfg, bundle=config(plain).bundle) == config(plain)
+        assert load_scenario(*(marked / n for n in self.CSV_FILES)) == \
+            load_scenario(*(plain / n for n in self.CSV_FILES))
+        for directory in (plain, marked):
+            assert main(["score", "--config", str(directory / "run.cfg"),
+                         "--out", str(directory / "out")]) == 0
+        outputs = sorted(p.name for p in (plain / "out").iterdir())
+        assert outputs == sorted(p.name for p in (marked / "out").iterdir())
+        for name in outputs:
+            written = (marked / "out" / name).read_bytes()
+            assert written == (plain / "out" / name).read_bytes()
+            assert not written.startswith(codecs.BOM_UTF8)
 
 
 class TestSynth:

@@ -17,6 +17,8 @@ from accessopt.geodata import (
     Scenario,
     SchemaError,
     ValidationError,
+    _claim_edge,
+    _first_clash,
     generate_synthetic_scenario,
     load_scenario,
     parse_demand,
@@ -118,6 +120,33 @@ class TestParseNetwork:
         nodes = write(tmp_path / "n.csv", "node_id,lon\na,118.7\n")
         with pytest.raises(SchemaError, match="lat"):
             parse_network(nodes, tmp_path / "e.csv")
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_edges_checked_at_once_as_in_order(self, seed):
+        """``_first_clash`` finds the edge, and the error, that claiming the
+        edges one by one meets first; self-loops, opposed one-ways, repeats
+        and unknown ends included."""
+        rng = np.random.default_rng(seed)
+        nodes = {nid: Coordinate(118.7, 32.0) for nid in ("a", "b", "c")}
+        ids = ("a", "b", "c", "a", "b", "c", "x")
+        edges = [Edge(ids[rng.integers(len(ids))], ids[rng.integers(len(ids))], 1.0,
+                      bool(rng.random() < 0.5))
+                 for _ in range(int(rng.integers(0, 7)))]
+        want, occupied = None, set()
+        for i, e in enumerate(edges):
+            try:
+                _claim_edge(e, nodes, occupied)
+            except ValidationError as exc:
+                want = (i, str(exc))
+                break
+        clash = _first_clash(edges, nodes)
+        assert (clash if clash is None else (clash[0], str(clash[1]))) == want
+        if want is None:
+            RoadNetwork(nodes, edges)
+        else:
+            with pytest.raises(ValidationError) as info:
+                RoadNetwork(nodes, edges)
+            assert str(info.value) == want[1]
 
 
 class TestParseDemand:

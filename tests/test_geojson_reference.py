@@ -18,6 +18,7 @@ from accessopt.accessibility import (
     assign_bin,
     default_bins,
 )
+from accessopt import cli
 from accessopt.cli import _write_geojson
 from accessopt.geodata import (
     CANDIDATE,
@@ -81,6 +82,13 @@ def test_synthetic_layouts(tmp_path, seed):
     assert_matches_payload(tmp_path, scenario, open_ids, fields, bin_spec)
 
 
+@pytest.mark.parametrize("batch", [1, 2, 7, 90, 91])
+def test_any_batch_size(tmp_path, monkeypatch, batch):
+    """Features are written in batches; the batch size changes no byte."""
+    monkeypatch.setattr(cli, "_GEOJSON_BATCH", batch)
+    test_synthetic_layouts(tmp_path, 3)
+
+
 ODD_TEXT = ['quote "q"', "back\\slash", "tab\tstop", "new\nline", "Zürich Spital",
             "医院", "clinic \U0001F3E5", "percent %s %%", "brace {0}", "\x00\x1f\x7f"]
 
@@ -109,3 +117,16 @@ def test_text_that_json_escapes(tmp_path):
     bin_spec = (("none \"0\"", 0.0), ("mid\n%", 0.5), ("最高", 10.0))
     open_ids = {ODD_TEXT[0], ODD_TEXT[6]}
     assert_matches_payload(tmp_path, scenario, open_ids, fields, bin_spec)
+
+
+def test_columns_whose_sum_overflows(tmp_path):
+    """Finite floats whose column sum is infinite are written as they are."""
+    group = PopulationGroup("general", 80.0, 700.0)
+    demands = tuple(DemandPoint(f"d{k}", Coordinate(179.5, 89.5), {"general": 1})
+                    for k in range(3))
+    sites = tuple(FacilitySite(f"s{k}", Coordinate(-179.5, -89.5), EXISTING, 1e308)
+                  for k in range(3))
+    scenario = Scenario(RoadNetwork({"n0": Coordinate(0, 0)}, ()), demands, sites, (group,))
+    fields = {"general": AccessibilityField("general", {d.demand_id: 1.5e308
+                                                        for d in demands})}
+    assert_matches_payload(tmp_path, scenario, {"s1"}, fields, default_bins(0.135))
