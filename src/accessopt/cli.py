@@ -125,6 +125,9 @@ def parse_groups(raw: str) -> tuple[PopulationGroup, ...]:
             raise ValidationError(
                 f"bad group spec {item.strip()!r} (expected name:speed:max_walk)"
             )
+        if "/" in parts[0]:
+            raise ValidationError(
+                f"group name {parts[0]!r} must not hold '/': it names output files")
         try:
             groups.append(PopulationGroup(parts[0], float(parts[1]), float(parts[2])))
         except ValueError as exc:
@@ -516,6 +519,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     check_max_pool(cfg.max_pool)
+    heuristic = _heuristic_objective(Path(cfg.out) / "result.json")
     scenario, matrices, out = _prepare(cfg)
     result = exhaustive_oracle(scenario, matrices, params,
                                max_pool=cfg.max_pool, bins=bin_spec)
@@ -525,15 +529,30 @@ def cmd_oracle(cfg: RunConfig) -> int:
     print(f"oracle: k={result.layout.k} objective={result.objective} "
           f"{'feasible' if result.feasible else 'infeasible'}")
 
-    heuristic_path = out / "result.json"
-    if heuristic_path.exists():
-        heuristic = json.loads(heuristic_path.read_text(encoding="utf-8"))
+    if heuristic is not None:
         if result.objective > 0:
-            ratio = heuristic["objective"] / result.objective
+            ratio = heuristic / result.objective
         else:
-            ratio = 1.0 if heuristic["objective"] == 0 else float("inf")
+            ratio = 1.0 if heuristic == 0 else float("inf")
         print(f"objective ratio (heuristic / oracle): {ratio}")
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
+
+
+def _heuristic_objective(path: Path) -> float | None:
+    """The finite ``objective`` of the JSON object in ``path``; ``None`` if
+    there is no such file."""
+    if not path.exists():
+        return None
+    try:
+        # integers as floats, so one too large for a float is refused too
+        payload = json.loads(path.read_text(encoding="utf-8-sig"), parse_int=float)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    objective = payload.get("objective") if isinstance(payload, dict) else None
+    if not (isinstance(objective, float) and math.isfinite(objective)):
+        raise ValidationError(
+            f"{path}: expected a JSON object whose 'objective' is a finite number")
+    return objective
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,15 @@ def _first_clash(edges: Sequence[Edge], nodes) -> tuple[int, ValidationError] | 
     return None
 
 
-def _claim_id(seen: set[str], label: str, value: str) -> None:
-    """Add ``value`` to ``seen``; refuse it if it is there already."""
-    if value in seen:
-        raise ValidationError(f"duplicate {label} '{value}'")
-    seen.add(value)
+def _first_repeat(ids: Sequence[str], label: str) -> tuple[int, ValidationError] | None:
+    """The index of the first of ``ids`` that repeats an earlier one, and its
+    error; ``None`` if none repeats."""
+    seen: set[str] = set()
+    for i, value in enumerate(ids):
+        if value in seen:
+            return i, ValidationError(f"duplicate {label} '{value}'")
+        seen.add(value)
+    return None
 
 
 @dataclass(frozen=True)
@@ -261,10 +265,9 @@ class Scenario:
             ("site_id", [s.site_id for s in self.sites]),
             ("group name", [g.name for g in self.groups]),
         ):
-            if len(set(ids)) < len(ids):  # walk the ids only to name the first repeat
-                seen: set[str] = set()
-                for value in ids:
-                    _claim_id(seen, label, value)
+            repeat = _first_repeat(ids, label)
+            if repeat is not None:
+                raise repeat[1]
         names = {g.name for g in self.groups}
         for d in self.demands:
             if not names.issuperset(d.population):
@@ -305,25 +308,22 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build,
-             check: Callable[[list], tuple[int, InputError] | None] | None = None) -> list:
+             check: Callable[[list], tuple[int, InputError] | None] = lambda built: None,
+             ) -> list:
     """One ``build(*cells)`` per data row of the CSV at ``path``.
 
     ``columns`` maps each required header name to a cell parser, called as
     ``parse(raw, column)``; the cells reach ``build`` in the order of
-    ``columns``, whatever the file's column order.  Other columns are
-    ignored, blank lines skipped, and a short row reads as blank cells.  A
-    missing column raises ``SchemaError``; any ``InputError`` raised while a
-    row is parsed or built comes out with ``path:line:`` in front.  A
-    leading UTF-8 byte order mark is skipped.  ``check``, if given, is
-    called once with the built values and returns the index and error of
-    the first it refuses, or ``None``: a check of each row against the rows
-    before it.
+    ``columns``.  Of a column named twice the last is read; other columns
+    are ignored, blank lines skipped, and a short row reads as blank cells.
+    A leading UTF-8 byte order mark is skipped.  A missing column raises
+    ``SchemaError``; an ``InputError`` from a row comes out with
+    ``path:line:`` in front.  ``check`` returns the index and error of the
+    first built value it refuses against the values before it, or ``None``.
 
-    The rows are read first and parsed a column at a time (see
-    ``_COLUMN_FORMS``).  The error raised is still the one a row-at-a-time
-    reader meets first: among the rows before the first bad cell, the first
-    that fails to build or check, else the first bad cell, in the first
-    failing column of its row.
+    One fast pass parses each column at once (see ``_COLUMN_FORMS``),
+    builds and checks.  When anything in it fails, a replay row by row
+    raises the first error, so ``build`` must not depend on earlier calls.
     """
     rows: list[list[str]] = []
     lines: list[int] = []
@@ -345,27 +345,30 @@ def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build,
         except (csv.Error, ValueError) as exc:
             unread = exc
     position = {name: i for i, name in enumerate(header)}
-    parsed = []
-    bad: tuple[int, InputError] | None = None  # (row index, error) of the first bad cell
-    for name, parse in columns.items():
-        cells = list(map(operator.itemgetter(position[name]), rows))
-        values, error = _parse_column(parse, cells, name)
-        if error is not None and (bad is None or len(values) < bad[0]):
-            bad = (len(values), error)
-        parsed.append(values)
-    built = []
+    cells = [(position[name], name, parse) for name, parse in columns.items()]
     try:
-        # zip stops at the shortest column: the rows before the first bad cell
-        for cells in zip(*parsed):
-            built.append(build(*cells))
-    except InputError as exc:
-        bad = (len(built), exc)
-    if check is not None:
-        # it sees only the rows before ``bad``, so its refusal comes first
+        parsed = []
+        for i, name, parse in cells:
+            column = list(map(operator.itemgetter(i), rows))
+            whole = _COLUMN_FORMS.get(parse)
+            parsed.append(whole(column) if whole else [parse(raw, name) for raw in column])
+        built = list(map(build, *parsed))
+        failed = check(built) is not None
+    except ValueError:  # an InputError too
+        failed = True
+    if failed:
+        built, bad = [], None
+        for row in rows:
+            try:
+                built.append(build(*[parse(row[i], name) for i, name, parse in cells]))
+            except InputError as exc:
+                bad = (len(built), exc)
+                break
+        # it sees only the rows built before ``bad``, so its refusal comes first
         bad = check(built) or bad
-    if bad is not None:
-        index, exc = bad
-        raise type(exc)(f"{path}:{lines[index]}: {exc}") from None
+        if bad is not None:
+            index, exc = bad
+            raise type(exc)(f"{path}:{lines[index]}: {exc}") from None
     if unread is not None:
         raise unread
     return built
@@ -418,7 +421,7 @@ def _directions(cells: list[str]) -> list[bool]:
 
 
 # each cell parser's whole-column form: the same values, or a ValueError
-# somewhere, upon which ``read_csv`` runs the cell parser to find the cell
+# somewhere, upon which ``read_csv`` replays the rows one at a time
 _COLUMN_FORMS: dict[Callable, Callable[[list[str]], list]] = {
     _text: lambda cells: list(map(str.strip, cells)),
     _id: _ids,
@@ -428,33 +431,12 @@ _COLUMN_FORMS: dict[Callable, Callable[[list[str]], list]] = {
 }
 
 
-def _parse_column(parse, cells: list[str], column: str) -> tuple[list, InputError | None]:
-    """``(values, None)``, or the values before the first bad cell and its error."""
-    whole = _COLUMN_FORMS.get(parse)
-    if whole is not None:
-        try:
-            return whole(cells), None
-        except ValueError:
-            pass
-    values = []
-    try:
-        for raw in cells:
-            values.append(parse(raw, column))
-    except InputError as exc:
-        return values, exc
-    return values, None
-
-
 def parse_network(nodes_path, edges_path) -> RoadNetwork:
     """Read the node and edge CSVs into a validated road network."""
-    nodes: dict[str, Coordinate] = {}
-
-    def node(nid: str, lon: float, lat: float) -> None:
-        if nid in nodes:
-            raise ValidationError(f"duplicate node_id '{nid}'")
-        nodes[nid] = Coordinate(lon, lat)
-
-    read_csv(nodes_path, {"node_id": _id, "lon": _number, "lat": _number}, node)
+    nodes = dict(read_csv(
+        nodes_path, {"node_id": _id, "lon": _number, "lat": _number},
+        lambda nid, lon, lat: (nid, Coordinate(lon, lat)),
+        check=lambda built: _first_repeat([nid for nid, _ in built], "node_id")))
     edges = read_csv(edges_path, {"from_id": _text, "to_id": _text, "length_m": _number,
                                   "bidirectional": _direction}, Edge,
                      check=lambda built: _first_clash(built, nodes))
@@ -464,31 +446,27 @@ def parse_network(nodes_path, edges_path) -> RoadNetwork:
 def parse_demand(path, groups: Sequence[PopulationGroup]) -> list[DemandPoint]:
     """Read demand points; one ``pop_<group>`` column per declared group."""
     names = [g.name for g in groups]
-    seen: set[str] = set()
-
-    def demand(did: str, lon: float, lat: float, *counts: int) -> DemandPoint:
-        _claim_id(seen, "demand_id", did)
-        return DemandPoint(did, Coordinate(lon, lat), dict(zip(names, counts)))
-
     columns = {"demand_id": _id, "lon": _number, "lat": _number}
     columns.update((f"pop_{name}", _count) for name in names)
-    return read_csv(path, columns, demand)
+    return read_csv(
+        path, columns,
+        lambda did, lon, lat, *counts: DemandPoint(did, Coordinate(lon, lat),
+                                                   dict(zip(names, counts))),
+        check=lambda built: _first_repeat([d.demand_id for d in built], "demand_id"))
 
 
 def parse_sites(path, default_capacity: float = DEFAULT_CAPACITY) -> list[FacilitySite]:
     """Read facility sites; a blank capacity cell falls back to the default."""
-    seen: set[str] = set()
 
     def capacity(raw: str, column: str) -> float:
         raw = raw.strip()
         return _number(raw, column) if raw else default_capacity
 
-    def site(sid: str, lon: float, lat: float, status: str, cap: float) -> FacilitySite:
-        _claim_id(seen, "site_id", sid)
-        return FacilitySite(sid, Coordinate(lon, lat), status, cap)
-
-    return read_csv(path, {"site_id": _id, "lon": _number, "lat": _number,
-                           "status": _text, "capacity": capacity}, site)
+    return read_csv(
+        path, {"site_id": _id, "lon": _number, "lat": _number, "status": _text,
+               "capacity": capacity},
+        lambda sid, lon, lat, *rest: FacilitySite(sid, Coordinate(lon, lat), *rest),
+        check=lambda built: _first_repeat([s.site_id for s in built], "site_id"))
 
 
 def load_scenario(

@@ -28,6 +28,13 @@ def synth_small(out):
     return out / "run.cfg"
 
 
+def synth_pool(bundle):
+    """A 6x6 bundle of 6 candidate sites, small enough for the oracle."""
+    assert main(["synth", "--grid-rows", "6", "--grid-cols", "6", "--n-existing", "2",
+                 "--n-candidate", "6", "--seed", "2", "--out", str(bundle)]) == 0
+    return bundle / "run.cfg"
+
+
 def run(argv):
     """main's exit code, also when argparse exits by itself."""
     try:
@@ -248,13 +255,9 @@ class TestSolve:
 
 class TestOracleCommand:
     def test_small_pool_writes_result(self, tmp_path):
-        bundle = tmp_path / "bundle"
-        assert main(["synth", "--grid-rows", "6", "--grid-cols", "6",
-                     "--n-existing", "2", "--n-candidate", "6", "--seed", "2",
-                     "--out", str(bundle)]) == 0
+        cfg = synth_pool(tmp_path / "bundle")
         out = tmp_path / "run"
-        code = main(["oracle", "--config", str(bundle / "run.cfg"),
-                     "--out", str(out)])
+        code = main(["oracle", "--config", str(cfg), "--out", str(out)])
         assert code in (0, 3)
         payload = json.loads((out / "result_oracle.json").read_text())
         assert payload["oracle"] is True
@@ -277,18 +280,80 @@ class TestOracleCommand:
         assert not out.exists()
 
     def test_ratio_printed_against_heuristic(self, tmp_path, capsys):
-        bundle = tmp_path / "bundle"
-        assert main(["synth", "--grid-rows", "6", "--grid-cols", "6",
-                     "--n-existing", "2", "--n-candidate", "6", "--seed", "2",
-                     "--out", str(bundle)]) == 0
+        cfg = synth_pool(tmp_path / "bundle")
         out = tmp_path / "run"
-        main(["solve", "--config", str(bundle / "run.cfg"), "--out", str(out)])
+        main(["solve", "--config", str(cfg), "--out", str(out)])
         capsys.readouterr()
-        main(["oracle", "--config", str(bundle / "run.cfg"), "--out", str(out)])
+        main(["oracle", "--config", str(cfg), "--out", str(out)])
         stdout = capsys.readouterr().out
         line = next(l for l in stdout.splitlines() if "ratio" in l)
         ratio = float(line.rsplit(":", 1)[1])
         assert ratio >= 1.0 - 1e-12
+
+
+class TestHeuristicResult:
+    """``oracle`` reads the heuristic's ``result.json`` before it searches."""
+
+    def test_byte_order_mark_skipped(self, tmp_path, capsys):
+        cfg = synth_pool(tmp_path / "bundle")
+        out = tmp_path / "run"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        main(["oracle", "--config", str(cfg), "--out", str(out)])
+        plain = capsys.readouterr().out
+        result = out / "result.json"
+        result.write_bytes(codecs.BOM_UTF8 + result.read_bytes())
+        main(["oracle", "--config", str(cfg), "--out", str(out)])
+        assert capsys.readouterr().out == plain
+        assert "objective ratio" in plain
+
+    @pytest.mark.parametrize("data", [
+        b"{}", b"[1]", b'{"objective": "x"}', b'{"objective": true}', b'{"objective": null}',
+        b'{"objective": NaN}', b'{"objective": -Infinity}', b'{"objective": 1e999}',
+        b'{"objective": 1' + b"0" * 400 + b"}", b"not json", codecs.BOM_UTF8 + b"not json",
+        b"", b'{"objective": 1\xff}',
+    ], ids=["empty-object", "list", "string", "bool", "null", "nan", "-inf", "1e999",
+            "huge-int", "not-json", "marked-not-json", "empty-file", "undecodable"])
+    def test_damaged_result_refused_before_search(self, tmp_path, capsys, data):
+        cfg = synth_pool(tmp_path / "bundle")
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "result.json").write_bytes(data)
+        capsys.readouterr()
+        assert main(["oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {out / 'result.json'}: ")
+        assert captured.out == ""
+        assert not (out / "result_oracle.json").exists()
+
+
+class TestGroupNameWithSlash:
+    """A group name holding '/' would name an output file in a subdirectory."""
+
+    GROUPS = "general:80:700,eld/erly:70:700"
+    MESSAGE = "group name 'eld/erly' must not hold '/': it names output files\n"
+
+    def test_flag_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "bundle"
+        assert main(SMALL_SYNTH + ["--groups", self.GROUPS, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --groups: " + self.MESSAGE
+        assert not out.exists()
+        cfg = synth_small(tmp_path / "ok")
+        out = tmp_path / "score"
+        assert main(["score", "--config", str(cfg), "--groups", self.GROUPS,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith("error: --groups: " + self.MESSAGE)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth", "score", "solve", "oracle"])
+    def test_config_line_names_file_and_line(self, tmp_path, capsys, command):
+        cfg = synth_small(tmp_path / "bundle")
+        lineno = append_line(cfg, f"groups = {self.GROUPS}")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:{lineno}: " + self.MESSAGE
+        assert not out.exists()
 
 
 class TestNonFiniteInput:

@@ -211,6 +211,13 @@ class TestParseSites:
         with pytest.raises(ValidationError, match=r"s\.csv:3: duplicate site_id 's1'"):
             parse_sites(path)
 
+    def test_own_checks_come_before_a_repeated_id(self, tmp_path):
+        path = write(tmp_path / "s.csv", "site_id,lon,lat,status,capacity\n"
+                     "s1,118.7,32.0,existing,\ns1,500,32.0,candidate,5\n")
+        with pytest.raises(ValidationError,
+                           match=r"s\.csv:3: lon 500\.0 outside \[-180, 180\]"):
+            parse_sites(path)
+
     def test_unknown_status(self, tmp_path):
         path = write(tmp_path / "s.csv", "site_id,lon,lat,status,capacity\ns1,118.7,32.0,open,\n")
         with pytest.raises(ValidationError, match="status"):

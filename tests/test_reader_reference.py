@@ -191,11 +191,16 @@ def table_case(tmp_path, seed):
     name = list(FILES)[seed % len(FILES)]
     path = tmp_path / name
     path.write_text(random_table(rng, FILES[name]), encoding="utf-8")
+    return name, parse_call(tmp_path, name, path)
+
+
+def parse_call(tmp_path, name, path):
+    """A call that reads ``path`` as the bundle file ``name``."""
     nodes = tmp_path / "nodes_ok.csv"
     nodes.write_text(NODES, encoding="utf-8")
     empty_edges = tmp_path / "no_edges.csv"
     empty_edges.write_text("from_id,to_id,length_m,bidirectional\n", encoding="utf-8")
-    return name, {
+    return {
         "nodes.csv": lambda: parse_network(path, empty_edges),
         "edges.csv": lambda: parse_network(nodes, path),
         "demand.csv": lambda: parse_demand(path, DEFAULT_GROUPS),
@@ -233,6 +238,53 @@ def test_earliest_error_wins_across_columns(monkeypatch, tmp_path):
         path.write_text(text, encoding="utf-8")
         result = assert_same_as_by_row(monkeypatch, lambda: parse_sites(path))
         assert result[0] == "error"
+
+
+# per file with ids: its header, then the cells after the id of a valid
+# row, of a row with a cell that fails to parse, and of a row that parses
+# but fails its own checks
+ID_FILES = {
+    "nodes.csv": ("node_id,lon,lat", "118,32", "x,32", "500,32"),
+    "demand.csv": ("demand_id,lon,lat,pop_general,pop_elderly",
+                   "118,32,5,1", "118,32,1.5,1", "118,32,-3,1"),
+    "sites.csv": ("site_id,lon,lat,status,capacity",
+                  "118,32,existing,", "118,32,existing,x", "118,32,closed,"),
+}
+# (the rows as (id, kind of cells), the error type both readers must raise)
+REPEATS = {
+    "before": ([("a", 1), ("a", 1), ("b", 2)], geodata.ValidationError),
+    "same-row": ([("a", 1), ("a", 2)], geodata.ParseError),
+    "after": ([("a", 1), ("b", 2), ("a", 1)], geodata.ParseError),
+    "own-check": ([("a", 1), ("a", 3)], geodata.ValidationError),
+}
+
+
+@pytest.mark.parametrize("case", REPEATS)
+@pytest.mark.parametrize("name", ID_FILES)
+def test_repeated_id_against_bad_cells(monkeypatch, tmp_path, name, case):
+    """A repeated id before, in and after the row of a bad cell, and in a
+    row that fails its own checks."""
+    rows, error = REPEATS[case]
+    spec = ID_FILES[name]
+    path = tmp_path / name
+    path.write_text("".join(f"{line}\n" for line in
+                            [spec[0], *(f"{rid},{spec[kind]}" for rid, kind in rows)]),
+                    encoding="utf-8")
+    result = assert_same_as_by_row(monkeypatch, parse_call(tmp_path, name, path))
+    assert result[:2] == ("error", error)
+    assert f"{path}:3: " in result[2]
+
+
+def test_repeated_header_reads_the_last_column(monkeypatch, tmp_path):
+    path = tmp_path / "nodes.csv"
+    path.write_text("node_id,lon,lat,lon\nn0,500,32,118.5\n", encoding="utf-8")
+    result = assert_same_as_by_row(monkeypatch, parse_call(tmp_path, "nodes.csv", path))
+    assert result[1].nodes == {"n0": geodata.Coordinate(118.5, 32.0)}
+    path = tmp_path / "sites.csv"
+    path.write_text("site_id,status,lon,lat,capacity,status\n"
+                    "s0,closed,118,32,,existing\n", encoding="utf-8")
+    result = assert_same_as_by_row(monkeypatch, parse_call(tmp_path, "sites.csv", path))
+    assert [s.status for s in result[1]] == ["existing"]
 
 
 def test_undecodable_tail_after_a_bad_cell(monkeypatch, tmp_path):
