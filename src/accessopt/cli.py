@@ -128,6 +128,9 @@ def parse_groups(raw: str) -> tuple[PopulationGroup, ...]:
         if "/" in parts[0]:
             raise ValidationError(
                 f"group name {parts[0]!r} must not hold '/': it names output files")
+        if len(f"coverage_{parts[0]}_before.json".encode("utf-8", "replace")) > 255:
+            raise ValidationError(f"group name {parts[0]!r} is too long: output file "
+                                  "coverage_<name>_before.json must fit in 255 bytes")
         try:
             groups.append(PopulationGroup(parts[0], float(parts[1]), float(parts[2])))
         except ValueError as exc:

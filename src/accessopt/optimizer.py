@@ -9,24 +9,18 @@ most) followed by best-improvement drop/swap local search; an exact branch
 and bound over candidate subsets doubles as ground truth on pools of up to
 ``MAX_POOL_CEILING`` candidates.
 
-Each search step screens, then confirms.  The screen costs every move of
-the step at once from the current layout's field F, and a rounding-error
-bound turns each cost into a certain lower bound on the move's objective
-(and greedy's shortfall), and a certain verdict on moves that must be
-infeasible.  Greedy screens the field ``F + gamma * W[in]`` of each site it
-may open.  Local search costs every drop and swap with products: with
-x = F - a_sigma and o, n the rows a move closes and opens, the squared
-deviation after it is x.x + (o.o - 2 o.x) + (n.n + 2 n.x) - 2 o.n, the drop
-gain / add gain / interaction split of Whitaker's fast interchange (1983)
-and of Resende and Werneck's swap local search (2007).  A step takes a few
-matrix-vector products and the candidates' Gram matrix, made once.  Moves
-that cannot win are dropped; the rest are evaluated canonically in order
-of their lower bound until the next bound exceeds the best confirmed
-value, and the winner is chosen by the same keys as a full scan.  The
-search therefore takes the same moves as evaluating every layout, with
-bit-identical objectives, at the cost of a few canonical evaluations per
-step.  The oracle screens whole subtrees of layouts the way greedy
-screens its moves.
+Every search decision is made on canonical evaluations, so the search takes
+the moves of a full scan with bit-identical objectives, yet evaluates few
+layouts.  Greedy is lazy: a candidate's cut to the shortfall never grows as
+sites open, so the cut it made when last evaluated, plus a rounding slack,
+bounds its cut now, and a step evaluates candidates in order of those
+stale cuts until none can win.  Local search screens every drop and swap
+with products: with x = F - a_sigma for the field F and o, n the rows a
+move closes and opens, the squared deviation after it is x.x + (o.o -
+2 o.x) + (n.n + 2 n.x) - 2 o.n (Whitaker 1983; Resende and Werneck 2007),
+and moves are evaluated in order of a certain lower bound on their
+objective until it exceeds the best confirmed one.  The oracle screens
+whole subtrees of layouts with ``_MoveBlock``.
 """
 
 from __future__ import annotations
@@ -160,9 +154,9 @@ class _Evaluator:
     as ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible:
     it is the canonical value on which every search decision is made, and
     ``evaluate_block`` gives each of a block of layouts the same bits.
-    ``_MoveBlock`` and ``_drop_swap_bounds`` screen moves from fields that
-    are not summed canonically, within the rounding bounds ``field_tol``
-    and ``sum_tol``.
+    ``_MoveBlock``, ``_drop_swap_bounds`` and ``_cut_slack`` bound it from
+    fields or sums that are not canonical, within the rounding bounds
+    ``field_tol`` and ``sum_tol``.
     """
 
     def __init__(self, scenario: Scenario, matrices, params: ObjectiveParams):
@@ -246,12 +240,6 @@ class _Evaluator:
         objective, feasible, shortfall = self.evaluate_block(open_idx)
         return float(objective[0]), bool(feasible[0]), float(shortfall[0])
 
-    def objective(self, open_candidates) -> float:
-        return self.evaluate(open_candidates)[0]
-
-    def feasible(self, open_candidates) -> bool:
-        return self.evaluate(open_candidates)[1]
-
     def shortfalls(self, open_candidates) -> tuple[Shortfall, ...]:
         p = self.params
         fields = self.fields(open_candidates)
@@ -265,46 +253,42 @@ class _Evaluator:
 
 
 class _MoveBlock:
-    """Certain bounds on ``evaluate`` for a block of moves, one per row.
+    """Certain bounds on ``evaluate`` for the oracle's rows of layouts.
 
-    Every move of the block leaves group g with the screened field
-    ``base[g] + added[g][q]``: row q of ``added[g]`` is ``gamma * W`` of the
-    site the move opens (a zero row opens none), and ``base[g]`` is the
-    canonical field F of the current layout, less ``gamma * W`` of the site
-    the move closes, if any.  With ``added_high``, row q stands for every
-    layout whose field lies between ``base + added[q]`` and ``base +
-    added_high[q]``: the oracle's subtrees, where F is a node's field summed
-    row by row and ``added_high`` sums the rows a subtree may add.
+    Row q stands for every layout whose field for group g lies between
+    ``fields[g] + added[q]`` and ``fields[g] + added_high[g][q]``: a node's
+    fields, summed row by row, plus the row of ``gamma * W`` of the child
+    it opens (of the primary group, the only lower field read) and the
+    sum of the rows that the child's subtree may add.
 
     Every entry of W is >= 0, so a sum of n entries in any order is off by
-    at most n unit roundoffs times its value.  A screened field and the
+    at most n unit roundoffs times its value.  A bound's field and the
     canonical field of the same layout therefore differ by at most
-    ``field_tol * (F + added)`` per demand point, which is twice the worst
-    case of both sides together; the spare half absorbs the rounding of the
-    bounds themselves, and the at most S further roundoffs of a node's
-    field and of ``added_high``.  The objective and the shortfall are sums
-    of at most D squares, so their lower bounds give up the relative slack
-    ``sum_tol``, whatever the order of the sum; the objective is also at
-    least ``alpha * k`` exactly, as rounding is monotone.  All of this
-    assumes finite inputs, which ObjectiveParams and the parsers enforce.
+    ``field_tol * (F + added_high)`` per demand point, which is twice the
+    worst case of both sides together; the spare half absorbs the rounding
+    of the bounds themselves, and the at most S further roundoffs of a
+    node's field and of ``added_high``.  The objective and the shortfall
+    are sums of at most D squares, so their lower bounds give up the
+    relative slack ``sum_tol``, whatever the order of the sum; the
+    objective is also at least ``alpha * k`` exactly, as rounding is
+    monotone.  All of this assumes finite inputs, which ObjectiveParams
+    and the parsers enforce.
     """
 
-    def __init__(self, ev: _Evaluator, fields, added, added_high=None):
+    def __init__(self, ev: _Evaluator, fields, added, added_high):
         self.ev = ev
-        self.low_added, self.high_added = {}, {}
-        for g, block in added.items():
-            high = block if added_high is None else added_high[g]
+        self.high = {}
+        for g, high in added_high.items():
             err = ev.field_tol * (fields[g] + high) + _TINY
-            self.low_added[g] = block - err
-            self.high_added[g] = high + err
+            self.high[g] = fields[g] + (high + err)
+            if g == ev.params.primary_group:
+                self.low = fields[g] + (added - err)
 
-    def objective(self, base, n_open) -> np.ndarray:
-        """Lower bounds on the objective; ``n_open`` is each move's k."""
+    def objective(self, n_open) -> np.ndarray:
+        """Lower bounds on the objective; ``n_open`` is each row's k."""
         p = self.ev.params
-        g = p.primary_group
-        gap = base[g] + self.low_added[g]
-        gap -= p.a_sigma
-        above = p.a_sigma - (base[g] + self.high_added[g])
+        gap = self.low - p.a_sigma
+        above = p.a_sigma - self.high[p.primary_group]
         np.maximum(gap, above, out=gap)
         np.maximum(gap, 0.0, out=gap)
         squares = np.einsum("ij,ij->i", gap, gap)
@@ -312,24 +296,24 @@ class _MoveBlock:
         return np.maximum((floor + p.beta * squares) * (1.0 - self.ev.sum_tol) - _TINY,
                           floor)
 
-    def shortfall(self, base) -> np.ndarray:
+    def shortfall(self) -> np.ndarray:
         """Lower bounds on the total squared shortfall."""
         p = self.ev.params
         total = 0.0
         for g in p.constraint_groups:
-            below = p.a_sigma - (base[g] + self.high_added[g])
+            below = p.a_sigma - self.high[g]
             np.maximum(below, 0.0, out=below)
             below *= self.ev.pos_mask[g]
             total = total + np.einsum("ij,ij->i", below, below)
         return total * (1.0 - self.ev.sum_tol) - _TINY
 
-    def maybe_feasible(self, base) -> np.ndarray:
-        """False where the layout after the move is certainly infeasible."""
+    def maybe_feasible(self) -> np.ndarray:
+        """False where every layout of the row is certainly infeasible."""
         p = self.ev.params
         floor = p.a_sigma - FEASIBILITY_TOL
         result = True
         for g in p.constraint_groups:
-            below = (base[g] + self.high_added[g] < floor) & self.ev.pos_mask[g]
+            below = (self.high[g] < floor) & self.ev.pos_mask[g]
             result = result & ~below.any(axis=1)
         return result
 
@@ -342,7 +326,7 @@ def objective_value(
 ) -> float:
     """Cost of a layout: facility count plus squared deviations from target."""
     _check_layout(layout, scenario)
-    return _Evaluator(scenario, matrices, params).objective(layout.open_candidates)
+    return _Evaluator(scenario, matrices, params).evaluate(layout.open_candidates)[0]
 
 
 def is_feasible(
@@ -357,43 +341,55 @@ def is_feasible(
     return (not shortfalls), shortfalls
 
 
-def _moves(ev: _Evaluator, current):
-    """The closed candidates, the fields of ``current`` and a screen of its moves.
+def _cut_slack(ev: _Evaluator, shortfall: float) -> float:
+    """Rounding slack that makes a stale cut bound a candidate's cut now.
 
-    Row q of the screen opens the q-th closed candidate, in ``candidate_ids``
-    order.
+    Greedy keeps cut = s(A) - s(A + c) + slack for a candidate c evaluated
+    at layout A, s the canonical shortfall and ``shortfall`` s(A); then
+    s(B + c) >= s(B) - cut for every B that contains A.  For the exact
+    field F (F(A + c) = F(A) + gamma W[c], W >= 0) and the exact sum S of
+    h(F) = max(0, a_sigma - F)^2, h is convex and non-increasing and F(B)
+    >= F(A), so S(B) - S(B + c) <= S(A) - S(A + c).  Each canonical field
+    is within field_tol / 4 of F relatively, which moves a deficit term by
+    at most 2 field_tol a_sigma^2: 8 of them a point over the four layouts.
+    Each sum of squares is off by at most sum_tol / 4 of itself, and each
+    of the four is at most s(A), as opening a site never raises s (see
+    ``exhaustive_oracle``): ``sum_tol * s(A)``, and as much again for the
+    rounding of the cut and of s(B) - cut.  ``_TINY`` absorbs underflow.
     """
-    closed = [c for c in ev.candidate_ids if c not in current]
-    fields = ev.fields(current)
-    added = {g: ev.rows(g, closed) for g in fields}
-    return closed, fields, _MoveBlock(ev, fields, added)
+    p = ev.params
+    points = sum(int(np.count_nonzero(ev.pos_mask[g])) for g in p.constraint_groups)
+    field_err = 8 * ev.field_tol * p.a_sigma * p.a_sigma * points
+    return 2 * ev.sum_tol * shortfall + field_err + 4 * _TINY
 
 
 def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]], bool]:
     """Open the candidate with the least key (shortfall, objective, cid) until feasible.
 
-    Returns the open set, its trace and whether it ended feasible.  Each
-    step screens every closed candidate, then confirms them in order of
-    their lower bounds until no unconfirmed key can be below the best.
+    Returns the open set, its trace and whether it ended feasible.  This is
+    lazy greedy (Minoux 1978; CELF, Leskovec et al. 2007): a step evaluates
+    candidates in descending order of the cut each made when last
+    evaluated, plus ``_cut_slack``, ties by id, and stops where that stale
+    cut leaves a shortfall strictly above the best confirmed one.
     """
     open_ids: set[str] = set()
     trace: list[tuple[str, ...]] = []
-    feasible = ev.feasible(open_ids)
-    while not feasible and len(open_ids) < len(ev.candidate_ids):
-        closed, fields, screen = _moves(ev, open_ids)
-        objective_lo = screen.objective(fields, len(open_ids) + 1)
-        shortfall_lo = screen.shortfall(fields)
+    _, feasible, shortfall = ev.evaluate(open_ids)
+    cut = dict.fromkeys(ev.candidate_ids, math.inf)
+    while not feasible and cut:
+        slack = _cut_slack(ev, shortfall)
         best = None
-        for t in np.lexsort((objective_lo, shortfall_lo)):
-            if best is not None and (shortfall_lo[t] > best[0] or (
-                    shortfall_lo[t] == best[0] and objective_lo[t] > best[1])):
+        for cid in sorted(cut, key=lambda c: (-cut[c], c)):
+            # a shortfall that overflowed leaves cuts inf or nan: neither stops
+            if best is not None and shortfall - cut[cid] > best[0]:
                 break
-            cid = closed[t]
-            objective, step_feasible, shortfall = ev.evaluate(open_ids | {cid})
-            key = (shortfall, objective, cid)
+            objective, step_feasible, step_shortfall = ev.evaluate(open_ids | {cid})
+            cut[cid] = shortfall - step_shortfall + slack
+            key = (step_shortfall, objective, cid)
             if best is None or key < best[:3]:
                 best = (*key, step_feasible)
-        _, _, best_cid, feasible = best
+        shortfall, _, best_cid, feasible = best
+        del cut[best_cid]
         open_ids.add(best_cid)
         trace.append(("open", best_cid))
     return open_ids, trace, feasible
@@ -433,7 +429,7 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     of F - o + n, which lowers each square by at most twice that times
     |x| + o + n.  A point that closing ``out`` alone leaves certainly
     below the floor must be lifted by n, so feasibility is checked on
-    those points alone, with ``_MoveBlock``'s field bounds.
+    those points alone, against n raised by its field bound.
     """
     p = ev.params
     outs = sorted(current)
@@ -573,7 +569,7 @@ def _assemble_result(
         coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
     return OptimizationResult(
         layout=layout,
-        objective=ev.objective(layout.open_candidates),
+        objective=ev.evaluate(layout.open_candidates)[0],
         feasible=not shortfalls,
         per_group_fields=fields,
         coverage=coverage,
@@ -627,20 +623,20 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
     rows = {g: ev.rows(g, ids) for g in ev.catchments}
     # screen row 2j is the child that opens candidate j, row 2j + 1 every
     # layout below it: it may add any candidate after j
-    low, high = {}, {}
+    high = {}
     for g, r in rows.items():
-        low[g] = np.repeat(r, 2, axis=0)
-        high[g] = low[g].copy()
+        high[g] = np.repeat(r, 2, axis=0)
         high[g][1::2] = np.cumsum(r[::-1], axis=0)[::-1]
+    low = np.repeat(rows[ev.params.primary_group], 2, axis=0)
     below = np.arange(2 * len(ids)) % 2
 
     def qualifies(objective, feasible, shortfall):
         return feasible if least_shortfall is None else shortfall == least_shortfall
 
-    def may_qualify(screen, base):
+    def may_qualify(screen):
         if least_shortfall is None:
-            return screen.maybe_feasible(base)
-        return screen.shortfall(base) <= least_shortfall
+            return screen.maybe_feasible()
+        return screen.shortfall() <= least_shortfall
 
     def may_win(bound, k):
         # an exact tie on the objective leaves (k, ids) to decide
@@ -656,11 +652,10 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
         k = len(picks) + 1
         if start == len(ids) or not may_win(bound, k):
             continue
-        screen = _MoveBlock(ev, fields, {g: b[2 * start:] for g, b in low.items()},
+        screen = _MoveBlock(ev, fields, low[2 * start:],
                             {g: b[2 * start:] for g, b in high.items()})
-        n_open = k + below[2 * start:]
-        bounds = screen.objective(fields, n_open)
-        maybe = may_qualify(screen, fields)
+        bounds = screen.objective(k + below[2 * start:])
+        maybe = may_qualify(screen)
         js = start + np.flatnonzero(maybe[::2] & may_win(bounds[::2], k))
         if len(js):
             open_idx = np.empty((len(js), len(existing) + k), dtype=np.intp)

@@ -356,6 +356,28 @@ class TestGroupNameWithSlash:
         assert not out.exists()
 
 
+class TestLongGroupName(TestGroupNameWithSlash):
+    """A group name whose output file names pass 255 bytes, counted in UTF-8,
+    is refused as the name holding '/' is."""
+
+    NAME = "\u00e9" * 118  # 236 bytes, so the longest file name has 257
+    GROUPS = f"general:80:700,{NAME}:70:700"
+    MESSAGE = (f"group name {NAME!r} is too long: output file "
+               "coverage_<name>_before.json must fit in 255 bytes\n")
+
+    def test_longest_name_that_fits_is_written(self, tmp_path):
+        name = "\u00e9" * 117
+        bundle = tmp_path / "bundle"
+        assert main(SMALL_SYNTH + ["--groups", f"general:80:700,{name}:70:700",
+                                   "--out", str(bundle)]) == 0
+        out = tmp_path / "plan"
+        assert main(["solve", "--config", str(bundle / "run.cfg"),
+                     "--out", str(out)]) in (0, 3)
+        written = out / f"coverage_{name}_before.json"
+        assert len(written.name.encode()) == 255
+        assert written.exists()
+
+
 class TestNonFiniteInput:
     """NaN and infinity are refused with exit code 2 before any output."""
 

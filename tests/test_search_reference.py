@@ -1,9 +1,10 @@
-"""The screened search against a full scan of every layout.
+"""The search against a full scan of every layout.
 
 ``reference_greedy`` and ``reference_local_search`` evaluate every move of
-every step canonically, as the search did before it screened moves.  They
-are slow and plainly correct, so the screened search must reproduce them
-exactly: the same trace, the same layout and the same objective bits.
+every step canonically, as the search did before it bounded moves.  They
+are slow and plainly correct, so lazy greedy and the screened local search
+must reproduce them exactly: the same trace, the same layout and the same
+objective bits.
 """
 
 import functools
@@ -21,12 +22,12 @@ from accessopt.optimizer import (
     IMPROVEMENT_TOL,
     Layout,
     ObjectiveParams,
+    _cut_slack,
     _drop_swap_bounds,
     _Evaluator,
     _greedy,
     _local_search,
     _MoveBlock,
-    _moves,
     local_search,
     optimize,
 )
@@ -41,7 +42,7 @@ def reference_greedy(ev, ties):
     open_ids = set()
     trace = []
     remaining = list(ev.candidate_ids)
-    while remaining and not ev.feasible(open_ids):
+    while remaining and not ev.evaluate(open_ids)[1]:
         best_key = None
         best_cid = None
         for cid in remaining:
@@ -59,10 +60,10 @@ def reference_greedy(ev, ties):
 
 def reference_local_search(ev, start, budget, ties):
     current = set(start)
-    if not ev.feasible(current):
+    current_obj, feasible, _ = ev.evaluate(current)
+    if not feasible:
         return current, []
     trace = []
-    current_obj = ev.objective(current)
     for _ in range(budget):
         best_obj = None
         best_move = None
@@ -158,11 +159,19 @@ def golden_instance():
     return scenario, build_travel_time_matrices(scenario), ObjectiveParams()
 
 
+def bench_city():
+    """City 1 of the solve benchmark: greedy opens 33 of 90 candidates."""
+    scenario = generate_synthetic_scenario(1, grid_rows=26, grid_cols=26,
+                                           n_existing=20, n_candidate=90)
+    return scenario, build_travel_time_matrices(scenario), ObjectiveParams()
+
+
 INSTANCES = {f"random{seed}": functools.partial(random_instance, seed)
              for seed in range(N_RANDOM)}
 INSTANCES.update({f"city{seed}": functools.partial(city_instance, seed)
                   for seed in (1, 2, 6)})
 INSTANCES["seed7"] = golden_instance
+INSTANCES["bench26"] = bench_city
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,7 +181,7 @@ def outcome(name):
     ev = _Evaluator(scenario, matrices, params)
     ties = []
     open_ids, trace = reference_greedy(ev, ties)
-    if ev.feasible(open_ids):
+    if ev.evaluate(open_ids)[1]:
         open_ids, moves = reference_local_search(ev, open_ids, 1000, ties)
         trace.extend(moves)
     result = optimize(scenario, matrices, params)
@@ -185,7 +194,7 @@ def test_search_equals_full_scan(name):
     assert result.trace == tuple(trace)
     assert result.layout.open_candidates == frozenset(open_ids)
     ev = _Evaluator(scenario, matrices, params)
-    assert result.objective == ev.objective(open_ids)
+    assert result.objective == ev.evaluate(open_ids)[0]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -221,27 +230,6 @@ def test_instances_cover_every_case():
                        "primary=general", "primary=elderly"}
 
 
-def screened_moves(ev, current):
-    """Screen every open from ``current`` with greedy's ``_moves``, and every
-    swap with its base less the row of the site closed: yields (layout after
-    the move, objective, shortfall and feasibility bounds, screened primary
-    field)."""
-    closed, fields, screen = _moves(ev, current)
-    primary = ev.params.primary_group
-    added = ev.rows(primary, closed)
-    for out in [None, *sorted(current)]:
-        base = dict(fields) if out is None else {
-            g: f - ev.rows(g, [out])[0] for g, f in fields.items()}
-        stay = current - {out}
-        layouts = [stay | {c} for c in closed]
-        n_open = np.array([len(layout) for layout in layouts])
-        bounds = zip(screen.objective(base, n_open), screen.shortfall(base),
-                     screen.maybe_feasible(base))
-        trial = base[primary] + added
-        for q, (layout, bound) in enumerate(zip(layouts, bounds)):
-            yield layout, bound, trial[q]
-
-
 def drop_swap_moves(ev, current):
     """Every drop and swap from ``current`` with local search's bounds:
     yields (layout after the move, objective bound, maybe feasible)."""
@@ -254,25 +242,44 @@ def drop_swap_moves(ev, current):
 
 
 def assert_bounds_hold(ev, current, tight=True):
-    """Every screened bound lies on the right side of the canonical value,
-    for greedy's ``_MoveBlock`` and for local search's ``_drop_swap_bounds``."""
-    disagreements = 0
-    for layout, (objective_lo, shortfall_lo, maybe_feasible), trial in (
-            screened_moves(ev, current)):
-        objective, feasible, shortfall = ev.evaluate(layout)
-        assert objective_lo <= objective
-        assert shortfall_lo <= shortfall
-        assert maybe_feasible or not feasible
-        if tight:  # close enough to the canonical value to screen
-            assert objective - objective_lo <= 1e-9 * max(1.0, objective)
-        disagreements += np.any(trial != ev.fields(layout)[ev.params.primary_group])
+    """Every bound of local search's ``_drop_swap_bounds`` lies on the right
+    side of the canonical value."""
     for layout, objective_lo, maybe_feasible in drop_swap_moves(ev, current):
         objective, feasible, _ = ev.evaluate(layout)
         assert objective_lo <= objective
         assert maybe_feasible or not feasible
-        if tight:
+        if tight:  # close enough to the canonical value to screen
             assert objective - objective_lo <= 1e-9 * max(1.0, objective)
-    return disagreements
+
+
+def assert_cuts_hold(ev, pairs, tight=True):
+    """For each pair (a, b) of layouts with a <= b and each candidate c
+    outside b, the cut of c taken at a with ``_cut_slack`` bounds the
+    shortfall at b + c, compared as greedy compares them.  Returns how many
+    of these bounds hold only by the slack."""
+    shortfall = functools.cache(lambda layout: ev.evaluate(layout)[2])
+    needed = 0
+    for a, b in pairs:
+        assert a <= b
+        s_a, s_b = shortfall(a), shortfall(b)
+        slack = _cut_slack(ev, s_a)
+        if tight:  # small enough to leave the search lazy
+            assert slack <= 1e-9 * max(1.0, s_a)
+        for c in sorted(set(ev.candidate_ids) - b):
+            gain = s_a - shortfall(a | {c})
+            s_bc = shortfall(b | {c})
+            assert not s_b - (gain + slack) > s_bc
+            needed += s_b - gain > s_bc
+    return needed
+
+
+def random_pairs(ev, rng, n):
+    """n random pairs (a, b) of layouts with a <= b."""
+    pairs = []
+    for _ in range(n):
+        b = frozenset(c for c in ev.candidate_ids if rng.random() < 0.5)
+        pairs.append((frozenset(c for c in b if rng.random() < 0.5), b))
+    return pairs
 
 
 @pytest.mark.parametrize("name", [f"random{seed}" for seed in range(12)] + ["city1"])
@@ -284,12 +291,20 @@ def test_screen_bounds_hold(name):
         assert_bounds_hold(ev, {c for c in ev.candidate_ids if rng.random() < 0.5})
 
 
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_stale_cuts_hold(name):
+    scenario, matrices, params = INSTANCES[name]()
+    ev = _Evaluator(scenario, matrices, params)
+    rng = np.random.default_rng(list(INSTANCES).index(name))
+    assert_cuts_hold(ev, random_pairs(ev, rng, 6))
+
+
 def rounding_decides(n, existing, candidates):
     """Check the bounds with the target exactly on one layout's field, at
-    each of n equal points, for every layout: only the error bound separates
-    the screened objective from the canonical one (alpha = 0, every site
-    reaches every point).  Returns the number of moves whose screened field
-    differs from the canonical one."""
+    each of n equal points, for every layout: only the error bounds separate
+    the bounds from the canonical values (alpha = 0, every site reaches every
+    point).  Every pair of nested layouts checks the stale cuts.  Returns
+    the number of stale cuts that hold only by their slack."""
     sites = [(f"e{j}", "existing", cap) for j, cap in enumerate(existing)]
     sites += [(f"s{j}", "candidate", cap) for j, cap in enumerate(candidates)]
     scenario, matrices = table_scenario(
@@ -297,19 +312,21 @@ def rounding_decides(n, existing, candidates):
         {"general": [[0.0] * len(sites)] * n},
     )
     ev0 = _Evaluator(scenario, matrices, ObjectiveParams())
-    layouts = [set(c) for k in range(len(candidates) + 1)
+    layouts = [frozenset(c) for k in range(len(candidates) + 1)
                for c in itertools.combinations(ev0.candidate_ids, k)]
-    disagreements = 0
+    pairs = [(a, b) for b in layouts for a in layouts if a <= b]
+    needed = 0
     for target in layouts:
         a_sigma = float(ev0.fields(target)["general"][0])
         ev = _Evaluator(scenario, matrices, ObjectiveParams(alpha=0.0, a_sigma=a_sigma))
         for current in layouts:
-            disagreements += assert_bounds_hold(ev, current, tight=False)
-    return disagreements
+            assert_bounds_hold(ev, set(current), tight=False)
+        needed += assert_cuts_hold(ev, pairs, tight=False)
+    return needed
 
 
 def test_bounds_hold_where_rounding_decides():
-    # the instance does make the two sums differ
+    # some stale cut there does need its slack
     assert rounding_decides(1, (), (100.0, 200.0, 300.0, 70.0, 1100.0))
 
 
@@ -335,11 +352,12 @@ def test_bounds_hold_for_long_sums():
     for a_sigma in (0.1, 0.13, 0.135, 0.17, 0.3, 0.7):
         ev = _Evaluator(scenario, matrices, ObjectiveParams(alpha=0.0, a_sigma=a_sigma))
         assert_bounds_hold(ev, {"s0"}, tight=False)
+        assert_cuts_hold(ev, [(frozenset(), frozenset({"s0"}))], tight=False)
 
 
 def weaken_bounds(monkeypatch, seed):
     """Make every ``_MoveBlock`` and ``_drop_swap_bounds`` bound randomly
-    weaker, but still a bound."""
+    weaker, and every ``_cut_slack`` randomly larger, but each still a bound."""
     rng = np.random.default_rng(seed)
 
     def lower(value):
@@ -352,6 +370,9 @@ def weaken_bounds(monkeypatch, seed):
         outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
         return outs, closed, lower(objective_lo), doubt(maybe_feasible)
 
+    def inflate(ev, shortfall):
+        return _cut_slack(ev, shortfall) + rng.uniform(0.0, 0.3) * (shortfall + 1e-3)
+
     for name, weaken in (("objective", lower), ("shortfall", lower),
                          ("maybe_feasible", doubt)):
         method = getattr(_MoveBlock, name)
@@ -359,6 +380,7 @@ def weaken_bounds(monkeypatch, seed):
                             lambda self, *args, method=method, weaken=weaken:
                             weaken(method(self, *args)))
     monkeypatch.setattr(optimizer, "_drop_swap_bounds", scramble)
+    monkeypatch.setattr(optimizer, "_cut_slack", inflate)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -372,12 +394,23 @@ def test_any_valid_bounds_give_the_same_search(seed, monkeypatch):
         assert optimize(scenario, matrices, params).trace == tuple(trace), name
 
 
+def test_greedy_evaluates_a_third_of_a_full_scan():
+    """The stale cuts are tight enough that lazy greedy makes at most a
+    third of a full scan's canonical evaluations on the benchmark city."""
+    ev = _Evaluator(*bench_city())
+    calls = []
+    evaluate = ev.evaluate
+    ev.evaluate = lambda layout: calls.append(layout) or evaluate(layout)
+    _, trace, _ = _greedy(ev)
+    assert len(trace) == 33
+    full_scan = sum(len(ev.candidate_ids) - step for step in range(len(trace)))
+    assert 3 * len(calls) <= full_scan
+
+
 def test_local_search_confirms_about_one_layout_per_move():
     """The screen is tight enough that a step confirms about one move: at
     most two canonical evaluations per move taken on a 26x26 city."""
-    scenario = generate_synthetic_scenario(1, grid_rows=26, grid_cols=26,
-                                           n_existing=20, n_candidate=90)
-    ev = _Evaluator(scenario, build_travel_time_matrices(scenario), ObjectiveParams())
+    ev = _Evaluator(*bench_city())
     start, _, feasible = _greedy(ev)
     assert feasible
     calls = []
