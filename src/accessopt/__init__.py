@@ -41,6 +41,7 @@ from .geodata import (
 from .limits import CandidatePoolError
 from .routing import (
     UNREACHABLE,
+    SiteMajor,
     SnapDistanceWarning,
     TravelTimeMatrix,
     build_travel_time_matrices,

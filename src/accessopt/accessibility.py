@@ -12,11 +12,14 @@ which falls from 1 at t = 0 to exactly 0 at the threshold t_sigma and is 0
 beyond it.
 
 One ``_Catchment`` per group computes the site ratios and ``W = weights *
-ratios`` once, stored site-major: one row of demand values per site.  A
-site's ratio reads only its own column of travel times, its weighted demand
-added one demand point after another.  A layout's score is ``gamma`` times
-the sum of its open sites' rows, added one after another in ascending site
-order.  The search reads the catchment of every site; scoring and the
+ratios`` once, on the pairs within walking reach alone: a ``SiteMajor``
+holding, per site, the demand points it reaches in ascending order and
+their values.  No demand x site array is made.  A site's ratio reads only
+its own travel times, its weighted demand added one demand point after
+another.  A layout's score is ``gamma`` times the sum of its open sites'
+rows, added one after another in ascending site order; a pair out of
+reach adds +0.0, which changes no sum, so skipping it keeps every bit.
+The search reads the catchment of every site; scoring and the
 conservation check build one of the open sites alone, which has the same
 ratios and rows, so all three agree to the bit.  Any other order, such as
 a pairwise sum of a demand point's non-zero entries, would round
@@ -33,7 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .geodata import DemandPoint, FacilitySite, Scenario, ValidationError, _check_positive
-from .routing import TravelTimeMatrix
+from .routing import SiteMajor, TravelTimeMatrix
 
 _KERNEL_FLOOR = math.exp(-0.5)
 
@@ -97,8 +100,9 @@ class SupplyDemandRatio(NamedTuple):
 class _Catchment:
     """One group's site ratios and decay-weighted ratios ``W`` (site x demand).
 
-    The matrix rows and columns must follow the demand and site order.  An
-    idle site, with no weighted demand in reach, gets ratio 0.
+    ``W`` is a ``SiteMajor`` on the matrix's pairs within reach, 0
+    elsewhere.  The matrix rows and columns must follow the demand and site
+    order.  An idle site, with no weighted demand in reach, gets ratio 0.
     """
 
     def __init__(self, matrix: TravelTimeMatrix, demands: Sequence[DemandPoint],
@@ -110,18 +114,17 @@ class _Catchment:
         self.group = matrix.group.name
         self.demand_ids = matrix.demand_order
         self.pop = np.array([d.pop_of(self.group) for d in demands], dtype=float)
-        weights = decay_weights(matrix.times_min, matrix.group.t_sigma_min)
-        weighted = weights * self.pop[:, None]
-        # numpy adds down the columns of a C-ordered array one row after
-        # another, but sums a lone column pairwise
-        if weighted.shape[1] == 1 and len(weighted):
-            denom = np.cumsum(weighted, axis=0)[-1]
-        else:
-            denom = weighted.sum(axis=0)
+        times = matrix.times
+        weights = decay_weights(times.values, matrix.group.t_sigma_min)
+        # bincount adds each site's weighted demand one point after another,
+        # in ascending order, as a column sum of the dense array did
+        denom = np.bincount(times.site, weights * self.pop[times.demand],
+                            minlength=len(sites))
         supply = np.array([s.capacity for s in sites], dtype=float)
-        self.ratios = np.zeros_like(denom)
+        self.ratios = np.zeros(len(sites))
         np.divide(supply, denom, out=self.ratios, where=denom > 0.0)
-        self.W = np.multiply(weights.T, self.ratios[:, None], order="C")
+        self.W = SiteMajor(times.shape, times.starts, times.demand,
+                           weights * self.ratios[times.site], fill=0.0)
 
     def field(self, open_idx: np.ndarray, gamma: float) -> np.ndarray:
         """Score of every demand point under each of a block of layouts.
@@ -131,10 +134,17 @@ class _Catchment:
         layout's k rows of ``W`` are added one after another in ascending
         site order, so a layout has the same bits in any block.
         """
-        out = np.zeros((len(open_idx), self.W.shape[1]))
+        out = np.empty((len(open_idx), self.W.shape[0]))
+        is_open = np.zeros(self.W.shape[1], dtype=bool)
         for row, idx in zip(out, open_idx):
-            # along the slow axis numpy adds whole rows in order, never pairwise
-            np.add.reduce(self.W[idx], axis=0, out=row)
+            is_open[:] = False
+            is_open[idx] = True
+            take = is_open[self.W.site]
+            # bincount adds in input order: each point's open sites in
+            # ascending order, never pairwise; a skipped entry is +0.0,
+            # which changes no sum
+            row[:] = np.bincount(self.W.demand[take], self.W.values[take],
+                                 minlength=len(row))
         return gamma * out
 
     def scores(self, open_idx: np.ndarray, gamma: float) -> AccessibilityField:
@@ -156,9 +166,7 @@ def supply_demand_ratio(
     j = matrix.site_index.get(site.site_id)
     if j is None:
         raise ValidationError(f"matrix does not cover site '{site.site_id}'")
-    column = TravelTimeMatrix(matrix.group, matrix.times_min[:, [j]],
-                              matrix.demand_order, (site.site_id,))
-    ratio = float(_Catchment(column, demands, (site,)).ratios[0])
+    ratio = float(_Catchment(matrix.select([j]), demands, (site,)).ratios[0])
     return SupplyDemandRatio(ratio, ratio == 0.0)
 
 
@@ -189,10 +197,7 @@ def _open_catchment(scenario: Scenario, matrix: TravelTimeMatrix,
     uncovered = sorted(open_set - set(matrix.site_order))
     if uncovered:
         raise ValidationError(f"matrix does not cover open site(s): {', '.join(uncovered)}")
-    cols = [j for j, sid in enumerate(matrix.site_order) if sid in open_set]
-    if len(cols) < len(order):
-        matrix = TravelTimeMatrix(matrix.group, matrix.times_min[:, cols],
-                                  matrix.demand_order, [matrix.site_order[j] for j in cols])
+    matrix = matrix.select([j for j, sid in enumerate(matrix.site_order) if sid in open_set])
     sites = [scenario.sites[position[sid]] for sid in matrix.site_order]
     return _Catchment(matrix, scenario.demands, sites), sites
 

@@ -54,6 +54,7 @@ from .limits import (  # noqa: F401  (MAX_POOL_CEILING is read from here)
     check_budget,
     check_max_pool,
 )
+from .routing import SiteMajor
 
 FEASIBILITY_TOL = 1e-9
 IMPROVEMENT_TOL = 1e-12
@@ -176,6 +177,13 @@ class _Evaluator:
         self.n_demands = len(scenario.demands)
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
         self.sum_tol = 2 * (self.n_demands + len(self.catchments) + 16) * _EPS
+        # each populated point of a constraint group adds at most a_sigma^2
+        self.points = sum(int(np.count_nonzero(self.pos_mask[g]))
+                          for g in params.constraint_groups)
+        if not math.isfinite(params.a_sigma * params.a_sigma * self.points):
+            raise ValidationError(
+                f"the shortfall can overflow: a_sigma^2 * {self.points} populated points "
+                f"of the constraint groups is not finite (a_sigma {params.a_sigma:g})")
         # fields only grow as sites open, so this bounds every layout's objective
         top = self.fields(self.candidate_ids)[params.primary_group] - params.a_sigma
         with np.errstate(over="ignore", invalid="ignore"):
@@ -199,16 +207,28 @@ class _Evaluator:
         return {g: c.field(open_idx, self.params.gamma)[0]
                 for g, c in self.catchments.items()}
 
-    def rows(self, group: str, site_ids) -> np.ndarray:
-        """gamma * W for these sites, one C-contiguous row each (len(site_ids) x D)."""
-        return self.params.gamma * self.catchments[group].W[
-            [self.site_index[s] for s in site_ids]]
+    @cached_property
+    def by_demand(self) -> dict[str, SiteMajor]:
+        """Per group, the candidates' gamma * W stored one demand point at a
+        time: its ``demand`` holds positions in ``candidate_ids``, and
+        ``np.asarray`` gives one dense row per candidate."""
+        cols = [self.site_index[c] for c in self.candidate_ids]
+        out = {}
+        for g, c in self.catchments.items():
+            out[g] = t = c.W.select(cols).T
+            t.values = self.params.gamma * t.values
+        return out
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """Products of the primary group's rows for every pair of candidates."""
-        rows = self.rows(self.params.primary_group, self.candidate_ids)
-        return np.einsum("ij,kj->ik", rows, rows)
+        """Products of the primary group's rows for every pair of candidates,
+        summed over the points that both reach."""
+        t, n = self.by_demand[self.params.primary_group], len(self.candidate_ids)
+        # each entry against every entry of its point
+        second, first = t.entries(t.site)
+        gram = np.bincount(t.demand[first] * n + t.demand[second],
+                           t.values[first] * t.values[second], minlength=n * n)
+        return gram.reshape(n, n)
 
     def evaluate_block(self, open_idx: np.ndarray):
         """(objective, feasible, total squared shortfall) arrays for B layouts.
@@ -358,8 +378,7 @@ def _cut_slack(ev: _Evaluator, shortfall: float) -> float:
     rounding of the cut and of s(B) - cut.  ``_TINY`` absorbs underflow.
     """
     p = ev.params
-    points = sum(int(np.count_nonzero(ev.pos_mask[g])) for g in p.constraint_groups)
-    field_err = 8 * ev.field_tol * p.a_sigma * p.a_sigma * points
+    field_err = 8 * ev.field_tol * p.a_sigma * p.a_sigma * ev.points
     return 2 * ev.sum_tol * shortfall + field_err + 4 * _TINY
 
 
@@ -429,40 +448,57 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     of F - o + n, which lowers each square by at most twice that times
     |x| + o + n.  A point that closing ``out`` alone leaves certainly
     below the floor must be lifted by n, so feasibility is checked on
-    those points alone, against n raised by its field bound.
+    those points alone, against n raised by its field bound: a move may
+    be feasible only if its n reaches every such point high enough.  The
+    row products and these checks read the rows' non-zero entries alone.
+    Points already short in ``current`` are not checked: local search
+    starts from feasible layouts only, and a check left out only leaves a
+    move marked maybe feasible.
     """
     p = ev.params
     outs = sorted(current)
     closed = [c for c in ev.candidate_ids if c not in current]
     is_open = np.array([c in current for c in ev.candidate_ids], dtype=bool)
+    n_cand, n_outs = len(is_open), len(outs)
+    row_of = np.cumsum(is_open) - 1  # each open candidate's row
     fields = ev.fields(current)
-    closing = {g: ev.rows(g, outs) for g in fields}
-    opened = {g: np.vstack([np.zeros(ev.n_demands), ev.rows(g, closed)]) for g in fields}
-    maybe_feasible = np.ones((len(outs), 1 + len(closed)), dtype=bool)
+    maybe_feasible = np.ones((n_outs, 1 + len(closed)), dtype=bool)
     floor = p.a_sigma - FEASIBILITY_TOL
     for g in p.constraint_groups:
-        base = fields[g] - closing[g]
-        high = opened[g] + (ev.field_tol * (fields[g] + opened[g]) + _TINY)
-        deficit = (base + high[0] < floor) & ev.pos_mask[g]
-        for r in np.flatnonzero(deficit.any(axis=1)):
-            cols = np.flatnonzero(deficit[r])
-            maybe_feasible[r] &= ~(base[r, cols] + high[:, cols] < floor).any(axis=1)
+        F, pos, t = fields[g], ev.pos_mask[g], ev.by_demand[g]
+        # (row, point, F - o) for the points of each closing row; with n = 0
+        # the field bound is field_tol * F
+        closing = is_open[t.demand]
+        rows, points = row_of[t.demand[closing]], t.site[closing]
+        base = F[points] - t.values[closing]
+        deficit = (base + (ev.field_tol * F[points] + _TINY) < floor) & pos[points]
+        rows, points, base = rows[deficit], points[deficit], base[deficit]
+        n_deficit = np.bincount(rows, minlength=n_outs)
+        # each deficit against every candidate that reaches its point
+        at, which = t.entries(points)
+        n = t.values[at]
+        raised = n + (ev.field_tol * (F[points[which]] + n) + _TINY)
+        lifts = np.bincount(rows[which] * n_cand + t.demand[at],
+                            ~(base[which] + raised < floor), minlength=n_outs * n_cand)
+        lifts = lifts.reshape(n_outs, n_cand)[:, ~is_open]
+        maybe_feasible[:, 0] &= n_deficit == 0
+        maybe_feasible[:, 1:] &= lifts == n_deficit[:, None]
 
-    g = p.primary_group
-    F, o, n = fields[g], closing[g], opened[g]
+    t, F = ev.by_demand[p.primary_group], fields[p.primary_group]
     x = F - p.a_sigma
     ax = np.abs(x)
     xx, axF = np.einsum("i,i->", x, x), np.einsum("i,i->", ax, F)
-    oo, nn = np.einsum("ij,ij->i", o, o), np.einsum("ij,ij->i", n, n)
-    ox, oax, oF = np.einsum("ij,kj->ki", o, [x, ax, F])
-    nx, nax, nF = np.einsum("ij,kj->ki", n, [x, ax, F])
-    on = np.zeros((len(outs), 1 + len(closed)))
+    vv, vx, vax, vF = (np.bincount(t.demand, t.values * w, minlength=n_cand)
+                       for w in (t.values, x[t.site], ax[t.site], F[t.site]))
+    oo, ox, oax, oF = (v[is_open] for v in (vv, vx, vax, vF))
+    nn, nx, nax, nF = (np.concatenate(([0.0], v[~is_open])) for v in (vv, vx, vax, vF))
+    on = np.zeros((n_outs, 1 + len(closed)))
     on[:, 1:] = ev.gram[np.ix_(is_open, ~is_open)]
     squares = (xx + oo - 2 * ox)[:, None] + (nn + 2 * nx) - 2 * on
     norm = (xx + oo + 2 * oax)[:, None] + (nn + 2 * nax) + 2 * on
     field_err = (axF + oF)[:, None] + (nF + nn + nax) + on
     slack = ev.sum_tol * norm + 2 * ev.field_tol * field_err
-    least = p.alpha * (len(outs) - (np.arange(1 + len(closed)) == 0))
+    least = p.alpha * (n_outs - (np.arange(1 + len(closed)) == 0))
     # fmax: where a sum overflowed (inf - inf) only alpha * k remains
     objective_lo = np.fmax((least + p.beta * (squares - slack)) * (1.0 - ev.sum_tol)
                            - _TINY, least)
@@ -620,7 +656,7 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
     ids = ev.candidate_ids
     cand_cols = np.array([ev.site_index[c] for c in ids], dtype=np.intp)
     existing = np.array(ev.existing_idx, dtype=np.intp)
-    rows = {g: ev.rows(g, ids) for g in ev.catchments}
+    rows = {g: np.asarray(t) for g, t in ev.by_demand.items()}
     # screen row 2j is the child that opens candidate j, row 2j + 1 every
     # layout below it: it may add any candidate after j
     high = {}

@@ -4,8 +4,10 @@ Distances are exact shortest paths over edge lengths in meters; they are
 converted to minutes per population group only afterwards, so one round of
 pathfinding serves every group.  Each search stops at the largest walk
 limit of the groups its result serves, so its cost follows the walk radius,
-not the size of the city.  Snapping looks up candidate nodes in a lon/lat
-grid instead of scanning every node.
+not the size of the city.  Distances and minutes are kept in ``SiteMajor``
+form, built from each search's settled nodes: a site holds only the demand
+points it reaches, so no demand x site array is made.  Snapping looks up
+candidate nodes in a lon/lat grid instead of scanning every node.
 """
 
 from __future__ import annotations
@@ -240,23 +242,77 @@ def shortest_path_distances(network: RoadNetwork, source: str) -> dict[str, floa
     return _dijkstra(_adjacency(network), source)
 
 
+class SiteMajor:
+    """A demand x site array stored one site at a time.
+
+    Site j holds the demand indices ``demand[starts[j]:starts[j + 1]]``, in
+    ascending order, and their ``values``; every other entry is ``fill``.
+    ``site`` is the site of each entry.  ``np.asarray`` gives the dense
+    (demand, site) array, and ``T`` the transpose, stored one demand point
+    at a time, each point's sites ascending.
+    """
+
+    def __init__(self, shape, starts, demand, values, fill: float = UNREACHABLE):
+        self.shape, self.size, self.fill = tuple(shape), shape[0] * shape[1], fill
+        self.starts, self.demand = np.asarray(starts), np.asarray(demand, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        self.site = np.repeat(np.arange(shape[1]), np.diff(self.starts))
+
+    @classmethod
+    def from_dense(cls, array: np.ndarray) -> "SiteMajor":
+        """The entries of a dense (demand, site) array that are not inf."""
+        site, demand = np.nonzero(array.T != UNREACHABLE)
+        starts = np.searchsorted(site, np.arange(array.shape[1] + 1))
+        return cls(array.shape, starts, demand, array[demand, site])
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = np.full(self.shape, self.fill, dtype=dtype)
+        out[self.demand, self.site] = self.values
+        return out
+
+    @property
+    def T(self) -> "SiteMajor":
+        order = np.argsort(self.demand, kind="stable")
+        starts = np.searchsorted(self.demand[order], np.arange(self.shape[0] + 1))
+        return SiteMajor(self.shape[::-1], starts, self.site[order], self.values[order],
+                         self.fill)
+
+    def entries(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the entries of sites ``cols``, site after site, and
+        the index into ``cols`` of each."""
+        cols = np.asarray(cols, dtype=np.intp)
+        first, last = self.starts[cols], self.starts[cols + 1]
+        ends = np.cumsum(last - first)
+        which = np.repeat(np.arange(len(ends)), last - first)
+        return np.arange(ends[-1] if len(ends) else 0) + (last - ends)[which], which
+
+    def select(self, cols) -> "SiteMajor":
+        """The array of sites ``cols`` alone, in that order."""
+        pos, which = self.entries(cols)
+        starts = np.searchsorted(which, np.arange(len(cols) + 1))
+        return SiteMajor((self.shape[0], len(cols)), starts, self.demand[pos],
+                         self.values[pos], self.fill)
+
+
 @dataclass(frozen=True, eq=False)
 class TravelTimeMatrix:
     """Walk minutes from each site (column) to each demand point (row).
 
-    Entries are ``UNREACHABLE`` (inf) beyond the group's maximum walk
-    distance or where no path exists.  The columns may be any of a
-    scenario's sites, in its order.  The times are kept in C order.
+    ``times`` may be given dense or as a ``SiteMajor``; it is kept as the
+    latter, holding each site's demand points within the group's maximum
+    walk distance.  Every other pair is ``UNREACHABLE`` (inf).  The columns
+    may be any of a scenario's sites, in its order.
     """
 
     group: PopulationGroup
-    times_min: np.ndarray
+    times: SiteMajor
     demand_order: tuple[str, ...]
     site_order: tuple[str, ...]
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times_min, dtype=float)
-        object.__setattr__(self, "times_min", t)
+        t = self.times
+        if not isinstance(t, SiteMajor):
+            t = np.asarray(t, dtype=float)
         object.__setattr__(self, "demand_order", tuple(self.demand_order))
         object.__setattr__(self, "site_order", tuple(self.site_order))
         expected = (len(self.demand_order), len(self.site_order))
@@ -265,8 +321,16 @@ class TravelTimeMatrix:
                 f"travel-time matrix shape {t.shape} does not match "
                 f"{expected[0]} demands x {expected[1]} sites"
             )
-        if np.any(np.isnan(t)) or np.any(t < 0):
+        if isinstance(t, np.ndarray):
+            t = SiteMajor.from_dense(t)
+        if np.any(np.isnan(t.values)) or np.any(t.values < 0):
             raise ValidationError("travel times must be >= 0 or unreachable")
+        object.__setattr__(self, "times", t)
+
+    @property
+    def times_min(self) -> np.ndarray:
+        """The dense (demand, site) minutes, built on each call."""
+        return np.asarray(self.times)
 
     @cached_property
     def demand_index(self) -> dict[str, int]:
@@ -276,14 +340,19 @@ class TravelTimeMatrix:
     def site_index(self) -> dict[str, int]:
         return {sid: j for j, sid in enumerate(self.site_order)}
 
+    def select(self, cols) -> "TravelTimeMatrix":
+        """The matrix of columns ``cols`` alone, in that order."""
+        return TravelTimeMatrix(self.group, self.times.select(cols), self.demand_order,
+                                [self.site_order[j] for j in cols])
+
     def minutes(self, demand_id: str, site_id: str) -> float:
-        return float(self.times_min[self.demand_index[demand_id],
-                                    self.site_index[site_id]])
+        row = np.asarray(self.times.select([self.site_index[site_id]]).T)[0]
+        return float(row[self.demand_index[demand_id]])
 
 
 def _distances(scenario: Scenario, limit_m: float, include_snap_distance: bool,
-               snap_warn_m: float, sites: Sequence[FacilitySite]) -> np.ndarray:
-    """Demand x ``sites`` walk meters, ``inf`` beyond ``limit_m`` (before the legs)."""
+               snap_warn_m: float, sites: Sequence[FacilitySite]) -> SiteMajor:
+    """Demand x ``sites`` walk meters within ``limit_m`` (before the legs)."""
     if not scenario.network.nodes:
         raise ValidationError("scenario network has no nodes")
     n_demands = len(scenario.demands)
@@ -291,20 +360,23 @@ def _distances(scenario: Scenario, limit_m: float, include_snap_distance: bool,
         [d.location for d in scenario.demands] + [s.location for s in sites],
         scenario.network, snap_warn_m, stacklevel=4,
     )
-    demand_snaps, site_snaps = snaps[:n_demands], snaps[n_demands:]
     rows_at: dict[str, list[int]] = {}
-    for i, (demand_node, _) in enumerate(demand_snaps):
+    for i, (demand_node, _) in enumerate(snaps[:n_demands]):
         rows_at.setdefault(demand_node, []).append(i)
 
     adj = _adjacency(scenario.network)
-    dist = np.full((n_demands, len(sites)), UNREACHABLE)
-    for j, (site_node, site_leg) in enumerate(site_snaps):
-        for node, base in _dijkstra(adj, site_node, limit_m).items():
-            for i in rows_at.get(node, ()):
-                if include_snap_distance:
-                    dist[i, j] = base + demand_snaps[i][1] + site_leg
-                else:
-                    dist[i, j] = base
+    found = [np.empty((0, 2))]
+    for site_node, _ in snaps[n_demands:]:
+        reach = _dijkstra(adj, site_node, limit_m)
+        hits = sorted((i, base) for node, base in reach.items()
+                      for i in rows_at.get(node, ()))
+        found.append(np.array(hits, dtype=float).reshape(-1, 2))
+    hits = np.concatenate(found)
+    dist = SiteMajor((n_demands, len(sites)), np.cumsum([0] + [len(f) for f in found[1:]]),
+                     hits[:, 0], hits[:, 1])
+    if include_snap_distance:
+        legs = np.array([leg for _, leg in snaps])
+        dist.values = dist.values + legs[dist.demand] + legs[n_demands + dist.site]
     return dist
 
 
@@ -314,20 +386,23 @@ def distance_matrix_m(
     include_snap_distance: bool = False,
     snap_warn_m: float = DEFAULT_SNAP_WARN_M,
     sites: Sequence[FacilitySite] | None = None,
-) -> np.ndarray:
+) -> SiteMajor:
     """Network walk distance in meters between every demand point and site.
 
-    The columns are ``sites``, by default every site of the scenario; only
-    the demand points and these sites are snapped, and warned about.
-    One shortest-path search per site, from its snapped node.  Each search
-    stops at the largest ``max_walk_m`` of ``scenario.groups``, so a pair
-    is ``inf`` when its network distance exceeds that limit, as well as
-    when no path joins it.  Every group's travel-time matrix is cut at its
-    own ``max_walk_m`` anyway, so the cut changes none of them.  By default
-    the snap legs (point to nearest node) are not counted; with
-    ``include_snap_distance`` both legs are added to every pair within the
-    limit.  Legs are >= 0, so a pair within a group's limit with its legs
-    is within it without them, and the search is cut at the same limit.
+    The result holds, per site, the demand points its search reached;
+    ``np.asarray`` of it is the dense (demand, site) array, ``inf`` where
+    unreached.  The columns are ``sites``, by default every site of the
+    scenario; only the demand points and these sites are snapped, and
+    warned about.  One shortest-path search per site, from its snapped
+    node.  Each search stops at the largest ``max_walk_m`` of
+    ``scenario.groups``, so a pair is ``inf`` when its network distance
+    exceeds that limit, as well as when no path joins it.  Every group's
+    travel-time matrix is cut at its own ``max_walk_m`` anyway, so the cut
+    changes none of them.  By default the snap legs (point to nearest
+    node) are not counted; with ``include_snap_distance`` both legs are
+    added to every pair within the limit.  Legs are >= 0, so a pair within
+    a group's limit with its legs is within it without them, and the
+    search is cut at the same limit.
     """
     limit_m = max(g.max_walk_m for g in scenario.groups)
     sites = scenario.sites if sites is None else sites
@@ -338,7 +413,7 @@ def build_travel_time_matrix(
     scenario: Scenario,
     group: PopulationGroup,
     *,
-    dist_m: np.ndarray | None = None,
+    dist_m: SiteMajor | np.ndarray | None = None,
     include_snap_distance: bool = False,
     snap_warn_m: float = DEFAULT_SNAP_WARN_M,
     sites: Sequence[FacilitySite] | None = None,
@@ -346,8 +421,10 @@ def build_travel_time_matrix(
     """Travel-time matrix for one group: distance over walk speed, capped.
 
     Pairs farther apart than the group's maximum walk distance are
-    ``UNREACHABLE``.  The columns are ``sites``, by default every site of
-    the scenario.  Pass ``dist_m``, with the same columns, to reuse one
+    ``UNREACHABLE``; the matrix keeps only the others, and its
+    ``times_min`` is the dense array.  The columns are ``sites``, by
+    default every site of the scenario.  Pass ``dist_m``, with the same
+    columns, dense or as ``distance_matrix_m`` returns it, to reuse one
     distance computation across groups; one from ``distance_matrix_m`` is
     ``inf`` beyond the largest walk limit of ``scenario.groups``, so it
     serves only groups within that limit.
@@ -356,11 +433,12 @@ def build_travel_time_matrix(
     if dist_m is None:
         limit_m = max(g.max_walk_m for g in (*scenario.groups, group))
         dist_m = _distances(scenario, limit_m, include_snap_distance, snap_warn_m, sites)
-    times = np.where(
-        dist_m <= group.max_walk_m,
-        dist_m / group.walk_speed_m_per_min,
-        UNREACHABLE,
-    )
+    elif not isinstance(dist_m, SiteMajor):
+        dist_m = SiteMajor.from_dense(np.asarray(dist_m, dtype=float))
+    keep = dist_m.values <= group.max_walk_m
+    starts = np.concatenate(([0], np.cumsum(keep)))[dist_m.starts]
+    times = SiteMajor(dist_m.shape, starts, dist_m.demand[keep],
+                      dist_m.values[keep] / group.walk_speed_m_per_min)
     return TravelTimeMatrix(group, times, scenario.demand_ids,
                             [s.site_id for s in sites])
 

@@ -152,6 +152,47 @@ def test_scores_and_evaluator_match_reference(seed):
                 assert fields[g.name].tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sparse_catchment_matches_dense_reference(seed):
+    """The kernel on the reachable minutes alone has the bits of the kernel
+    over the full matrix, every other pair weighs 0, and the catchment's
+    sparse ``W`` is the dense weights * ratios; a one-site catchment has
+    its site's ratio and row."""
+    scenario, matrices, _, _ = random_instance(seed)
+    for g in GROUPS:
+        matrix = matrices[g.name]
+        times, site = matrix.times, matrix.times.site
+        weights, ratios = reference_ratios(matrix, scenario.demands, scenario.sites)
+        got = decay_weights(times.values, g.t_sigma_min)
+        assert got.tobytes() == weights[times.demand, site].tobytes()
+        outside = np.ones(weights.shape, dtype=bool)
+        outside[times.demand, site] = False
+        assert not np.any(weights[outside])
+        catchment = _Catchment(matrix, scenario.demands, scenario.sites)
+        contributions = weights * ratios[None, :]
+        assert np.asarray(catchment.W).tobytes() == contributions.tobytes()
+        for j, s in enumerate(scenario.sites):
+            one = _Catchment(matrix.select([j]), scenario.demands, (s,))
+            assert one.ratios.tobytes() == ratios[[j]].tobytes()
+            assert np.asarray(one.W).tobytes() == contributions[:, [j]].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 9, 31, 1000, 4099])
+def test_kernel_on_reachable_minutes_alone(n):
+    """Vector loops handle an array in blocks and a tail: the kernel of each
+    time has the same bits wherever the time sits, with or without the
+    unreachable times around it."""
+    rng = np.random.default_rng(n)
+    t_sigma = 700.0 / 70.0
+    times = rng.uniform(0.0, 1.3 * t_sigma, n)
+    times[rng.random(n) < 0.5] = math.inf
+    times[rng.random(n) < 0.05] = t_sigma
+    reach = np.isfinite(times)
+    full = decay_weights(times, t_sigma)
+    assert decay_weights(times[reach], t_sigma).tobytes() == full[reach].tobytes()
+    assert not np.any(full[~reach])
+
+
 def columns(matrix, site_ids):
     """``matrix`` cut to the columns of ``site_ids``, in matrix order."""
     cols = [j for j, sid in enumerate(matrix.site_order) if sid in site_ids]

@@ -643,6 +643,20 @@ class TestRefusedAtBoundary:
         assert "the objective can overflow" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shortfall_that_can_overflow(self, tmp_path, capsys):
+        # on the seed-7 city the objective bound, summed over 400 points, is
+        # finite, but the shortfall, summed over both groups' 800, is not
+        assert main(["synth", "--seed", "7", "--out", str(tmp_path / "district")]) == 0
+        out = tmp_path / "overflow"
+        assert main(["solve", "--config", str(tmp_path / "district" / "run.cfg"),
+                     "--a-sigma", "5.48e152", "--constraint-groups", "general,elderly",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the shortfall can overflow: a_sigma^2 * 800 populated points of the "
+            "constraint groups is not finite (a_sigma 5.48e+152)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line,message", [
         ("population_scale = -1", "population_scale must be finite and >= 0"),
         ("spacing_m = -5", "spacing_m must be finite and > 0"),

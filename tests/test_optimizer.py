@@ -467,3 +467,19 @@ class TestFailFast:
         exhaustive_oracle(sc, mats, params(), max_pool=12)
         assert calls.count("__init__") == 1
         assert calls.count("evaluate_block") > 12
+
+
+def test_city_routing_and_evaluator_memory_bounded_by_walk_radius():
+    """Routing and the evaluator of a 100×100 city with 860 sites hold no
+    demand × site array: one dense float array of that shape alone is
+    69 MB, and the dense layout peaked at 284 MB in routing."""
+    sc = generate_synthetic_scenario(0, grid_rows=100, grid_cols=100,
+                                     n_existing=60, n_candidate=800)
+    tracemalloc.start()
+    try:
+        _Evaluator(sc, build_travel_time_matrices(sc), params())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(sc.demands), len(sc.sites)) == (10_000, 860)
+    assert peak < 25e6

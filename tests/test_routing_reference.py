@@ -28,7 +28,9 @@ from accessopt.geodata import (
 from accessopt.routing import (
     EARTH_RADIUS_M,
     UNREACHABLE,
+    SiteMajor,
     SnapDistanceWarning,
+    TravelTimeMatrix,
     _snap_points,
     build_travel_time_matrices,
     build_travel_time_matrix,
@@ -180,7 +182,8 @@ class TestBoundedRouting:
     @pytest.mark.parametrize("seed", range(10))
     def test_distances_match_within_the_limit(self, seed, include_snap_distance):
         scenario, reference, exact = routing_scenario(100 + seed, include_snap_distance)
-        got = distance_matrix_m(scenario, include_snap_distance=include_snap_distance)
+        got = np.asarray(distance_matrix_m(scenario,
+                                           include_snap_distance=include_snap_distance))
         within = reference <= exact
         assert got[within].tobytes() == reference[within].tobytes()
         beyond = got[~within]
@@ -222,6 +225,70 @@ class TestBoundedRouting:
                         f"{leg:.0f} m away (threshold 500 m)")
         assert [str(w.message) for w in caught] == want
         assert all(w.category is SnapDistanceWarning for w in caught)
+
+
+def assert_same_form(a, b):
+    assert a.shape == b.shape and a.fill == b.fill
+    for name in ("starts", "demand", "values"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+class TestSparseForm:
+    """The site-major form that routing returns against the dense arrays it
+    stands for: the same bits, built without them."""
+
+    @pytest.mark.parametrize("include_snap_distance", [False, True])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_site_subsets_match_full_search(self, seed, include_snap_distance):
+        scenario, reference, _ = routing_scenario(300 + seed, include_snap_distance)
+        rng = np.random.default_rng(seed)
+        n_sites = len(scenario.sites)
+        keep = np.sort(rng.choice(n_sites, size=int(rng.integers(1, n_sites + 1)),
+                                  replace=False))
+        sites = [scenario.sites[j] for j in keep]
+        dist = distance_matrix_m(scenario, include_snap_distance=include_snap_distance,
+                                 sites=sites)
+        assert dist.shape == (len(scenario.demands), len(sites)) and dist.fill == UNREACHABLE
+        assert dist.size == len(scenario.demands) * len(sites)
+        assert np.all(np.isfinite(dist.values))
+        for j in range(len(sites)):
+            assert np.all(np.diff(dist.demand[dist.starts[j]:dist.starts[j + 1]]) > 0)
+        dense = np.asarray(dist)
+        assert dense.flags.c_contiguous and dense.shape == dist.shape
+        assert_same_form(SiteMajor.from_dense(dense), dist)
+        matrices = build_travel_time_matrices(
+            scenario, include_snap_distance=include_snap_distance, sites=sites)
+        for group in scenario.groups:
+            want = reference_times(reference[:, keep], group).tobytes()
+            matrix = matrices[group.name]
+            assert matrix.times_min.tobytes() == want
+            assert np.all(matrix.times.values <= group.t_sigma_min)
+            again = TravelTimeMatrix(group, matrix.times_min, matrix.demand_order,
+                                     matrix.site_order)
+            assert_same_form(again.times, matrix.times)
+            from_dense = build_travel_time_matrix(scenario, group, dist_m=dense, sites=sites)
+            assert from_dense.times_min.tobytes() == want
+            for i, j in zip(rng.integers(0, dense.shape[0], 20),
+                            rng.integers(0, dense.shape[1], 20)):
+                assert (matrix.minutes(matrix.demand_order[i], matrix.site_order[j])
+                        == matrix.times_min[i, j])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_select_and_transpose_match_dense_slices(self, seed):
+        scenario, _, _ = routing_scenario(400 + seed, False)
+        rng = np.random.default_rng(seed)
+        matrix = build_travel_time_matrices(scenario)["general"]
+        dense = matrix.times_min
+        by_point = matrix.times.T
+        assert np.asarray(by_point).tobytes() == dense.T.copy().tobytes()
+        for i in range(dense.shape[0]):
+            sites = by_point.demand[by_point.starts[i]:by_point.starts[i + 1]]
+            assert np.all(np.diff(sites) > 0)
+        for _ in range(5):
+            cols = rng.choice(dense.shape[1], size=int(rng.integers(0, dense.shape[1] + 1)))
+            narrow = matrix.select(cols)
+            assert narrow.site_order == tuple(matrix.site_order[j] for j in cols)
+            assert narrow.times_min.tobytes() == dense[:, cols].tobytes()
 
 
 # ---------------------------------------------------------------------------
