@@ -117,7 +117,7 @@ class _Catchment:
         times = matrix.times
         weights = decay_weights(times.values, matrix.group.t_sigma_min)
         # bincount adds each site's weighted demand one point after another,
-        # in ascending order, as a column sum of the dense array did
+        # in ascending order, never pairwise (np.sum would be)
         denom = np.bincount(times.site, weights * self.pop[times.demand],
                             minlength=len(sites))
         supply = np.array([s.capacity for s in sites], dtype=float)
