@@ -11,16 +11,10 @@ and bound over candidate subsets doubles as ground truth on pools of up to
 
 Every search decision is made on canonical evaluations, so the search takes
 the moves of a full scan with bit-identical objectives, yet evaluates few
-layouts.  Greedy is lazy: a candidate's cut to the shortfall never grows as
-sites open, so the cut it made when last evaluated, plus a rounding slack,
-bounds its cut now, and a step evaluates candidates in order of those
-stale cuts until none can win.  Local search screens every drop and swap
-with products: with x = F - a_sigma for the field F and o, n the rows a
-move closes and opens, the squared deviation after it is x.x + (o.o -
-2 o.x) + (n.n + 2 n.x) - 2 o.n (Whitaker 1983; Resende and Werneck 2007),
-and moves are evaluated in order of a certain lower bound on their
-objective until it exceeds the best confirmed one.  The oracle screens
-whole subtrees of layouts with ``_MoveBlock``.
+layouts.  Greedy, local search and the oracle bound their moves from below
+(``_open_bounds``; ``_drop_swap_bounds``, after Whitaker 1983 and Resende
+and Werneck 2007; ``_MoveBlock``) and evaluate them in ascending order of
+those bounds until none can win.
 """
 
 from __future__ import annotations
@@ -155,7 +149,7 @@ class _Evaluator:
     as ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible:
     it is the canonical value on which every search decision is made, and
     ``evaluate_block`` gives each of a block of layouts the same bits.
-    ``_MoveBlock``, ``_drop_swap_bounds`` and ``_cut_slack`` bound it from
+    ``_MoveBlock``, ``_drop_swap_bounds`` and ``_open_bounds`` bound it from
     fields or sums that are not canonical, within the rounding bounds
     ``field_tol`` and ``sum_tol``.
     """
@@ -178,11 +172,11 @@ class _Evaluator:
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
         self.sum_tol = 2 * (self.n_demands + len(self.catchments) + 16) * _EPS
         # each populated point of a constraint group adds at most a_sigma^2
-        self.points = sum(int(np.count_nonzero(self.pos_mask[g]))
-                          for g in params.constraint_groups)
-        if not math.isfinite(params.a_sigma * params.a_sigma * self.points):
+        points = sum(int(np.count_nonzero(self.pos_mask[g]))
+                     for g in params.constraint_groups)
+        if not math.isfinite(params.a_sigma * params.a_sigma * points):
             raise ValidationError(
-                f"the shortfall can overflow: a_sigma^2 * {self.points} populated points "
+                f"the shortfall can overflow: a_sigma^2 * {points} populated points "
                 f"of the constraint groups is not finite (a_sigma {params.a_sigma:g})")
         # fields only grow as sites open, so this bounds every layout's objective
         top = self.fields(self.candidate_ids)[params.primary_group] - params.a_sigma
@@ -361,54 +355,60 @@ def is_feasible(
     return (not shortfalls), shortfalls
 
 
-def _cut_slack(ev: _Evaluator, shortfall: float) -> float:
-    """Rounding slack that makes a stale cut bound a candidate's cut now.
+def _open_bounds(ev: _Evaluator, open_ids, shortfall: float) -> np.ndarray:
+    """Certain lower bounds on the canonical shortfall s(A + c), one a candidate.
 
-    Greedy keeps cut = s(A) - s(A + c) + slack for a candidate c evaluated
-    at layout A, s the canonical shortfall and ``shortfall`` s(A); then
-    s(B + c) >= s(B) - cut for every B that contains A.  For the exact
-    field F (F(A + c) = F(A) + gamma W[c], W >= 0) and the exact sum S of
-    h(F) = max(0, a_sigma - F)^2, h is convex and non-increasing and F(B)
-    >= F(A), so S(B) - S(B + c) <= S(A) - S(A + c).  Each canonical field
-    is within field_tol / 4 of F relatively, which moves a deficit term by
-    at most 2 field_tol a_sigma^2: 8 of them a point over the four layouts.
-    Each sum of squares is off by at most sum_tol / 4 of itself, and each
-    of the four is at most s(A), as opening a site never raises s (see
-    ``exhaustive_oracle``): ``sum_tol * s(A)``, and as much again for the
-    rounding of the cut and of s(B) - cut.  ``_TINY`` absorbs underflow.
+    A is ``open_ids``, of canonical shortfall ``shortfall``; open candidates'
+    bounds mean nothing.  Where c adds nothing, A + c has the field F of A
+    bit for bit.  Where it adds v, its field is at most hi = (F + v) +
+    field_tol (F + v) + tiny, as in ``_MoveBlock``; tiny keeps that true
+    where fields underflow, though a_sigma - field rounds alike there.  As
+    h = max(0, a_sigma - field)^2 does not rise with the field, s(A + c) is
+    s(A) less at most the cut, the sum of h(F) - h(hi) where c adds, but for
+    rounding: each of the three sums is within sum_tol / 4 of its exact
+    value, and none is above s(A) by more, so sum_tol * s(A) covers them,
+    the differences and the bound.  Below the normal range all is exact.
     """
     p = ev.params
-    field_err = 8 * ev.field_tol * p.a_sigma * p.a_sigma * ev.points
-    return 2 * ev.sum_tol * shortfall + field_err + 4 * _TINY
+    fields = ev.fields(open_ids)
+    cut = np.zeros(len(ev.candidate_ids))
+    for g in p.constraint_groups:
+        F, t = fields[g], ev.by_demand[g]
+        h = np.maximum(0.0, p.a_sigma - F) ** 2
+        take = (ev.pos_mask[g] & (h > 0.0))[t.site]
+        points = t.site[take]
+        high = F[points] + t.values[take]
+        high += ev.field_tol * high + _TINY
+        cut += np.bincount(t.demand[take], h[points] - np.maximum(0.0, p.a_sigma - high) ** 2,
+                           minlength=len(cut))
+    return shortfall - cut - ev.sum_tol * shortfall
 
 
 def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]], bool]:
     """Open the candidate with the least key (shortfall, objective, cid) until feasible.
 
-    Returns the open set, its trace and whether it ended feasible.  This is
-    lazy greedy (Minoux 1978; CELF, Leskovec et al. 2007): a step evaluates
-    candidates in descending order of the cut each made when last
-    evaluated, plus ``_cut_slack``, ties by id, and stops where that stale
-    cut leaves a shortfall strictly above the best confirmed one.
+    Returns the open set, its trace and whether it ended feasible.  A step
+    evaluates closed candidates in ascending order of ``_open_bounds``, ties
+    by id, up to the first bound strictly above the best confirmed shortfall.
     """
     open_ids: set[str] = set()
     trace: list[tuple[str, ...]] = []
     _, feasible, shortfall = ev.evaluate(open_ids)
-    cut = dict.fromkeys(ev.candidate_ids, math.inf)
-    while not feasible and cut:
-        slack = _cut_slack(ev, shortfall)
+    is_open = np.zeros(len(ev.candidate_ids), dtype=bool)
+    while not feasible and not is_open.all():
+        bounds = _open_bounds(ev, open_ids, shortfall)
+        bounds[is_open] = math.inf
         best = None
-        for cid in sorted(cut, key=lambda c: (-cut[c], c)):
-            # a shortfall that overflowed leaves cuts inf or nan: neither stops
-            if best is not None and shortfall - cut[cid] > best[0]:
+        for j in np.argsort(bounds, kind="stable"):
+            if best is not None and bounds[j] > best[0]:
                 break
+            cid = ev.candidate_ids[j]
             objective, step_feasible, step_shortfall = ev.evaluate(open_ids | {cid})
-            cut[cid] = shortfall - step_shortfall + slack
             key = (step_shortfall, objective, cid)
             if best is None or key < best[:3]:
-                best = (*key, step_feasible)
-        shortfall, _, best_cid, feasible = best
-        del cut[best_cid]
+                best = (*key, step_feasible, j)
+        shortfall, _, best_cid, feasible, j = best
+        is_open[j] = True
         open_ids.add(best_cid)
         trace.append(("open", best_cid))
     return open_ids, trace, feasible

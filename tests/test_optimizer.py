@@ -19,6 +19,7 @@ from accessopt.optimizer import (
     local_search,
     objective_value,
     _Evaluator,
+    _greedy,
     optimize,
 )
 from accessopt.routing import build_travel_time_matrices
@@ -472,14 +473,21 @@ class TestFailFast:
 def test_city_routing_and_evaluator_memory_bounded_by_walk_radius():
     """Routing and the evaluator of a 100×100 city with 860 sites hold no
     demand × site array: one dense float array of that shape alone is
-    69 MB, and the dense layout peaked at 284 MB in routing."""
+    69 MB, and the dense layout peaked at 284 MB in routing.  Greedy holds
+    no (closed candidates × demand) block either: one is 64 MB at its first
+    step."""
     sc = generate_synthetic_scenario(0, grid_rows=100, grid_cols=100,
                                      n_existing=60, n_candidate=800)
     tracemalloc.start()
     try:
-        _Evaluator(sc, build_travel_time_matrices(sc), params())
-        peak = tracemalloc.get_traced_memory()[1]
+        ev = _Evaluator(sc, build_travel_time_matrices(sc), params())
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        _, trace, feasible = _greedy(ev)
+        greedy_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert (len(sc.demands), len(sc.sites)) == (10_000, 860)
     assert peak < 25e6
+    assert feasible and len(trace) > 500
+    assert greedy_peak < 5e6, greedy_peak
