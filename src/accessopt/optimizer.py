@@ -56,6 +56,8 @@ IMPROVEMENT_TOL = 1e-12
 _EPS = float(np.finfo(float).eps)
 # absorbs the absolute error of operations whose results underflow
 _TINY = float(np.finfo(float).tiny)
+# pairs of entries that _Evaluator.gram holds at once
+_GRAM_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -216,13 +218,25 @@ class _Evaluator:
     @cached_property
     def gram(self) -> np.ndarray:
         """Products of the primary group's rows for every pair of candidates,
-        summed over the points that both reach."""
+        summed over the points both reach, _GRAM_BLOCK pairs or so at a time,
+        in the order of one bincount of all pairs (np.add.at keeps it)."""
         t, n = self.by_demand[self.params.primary_group], len(self.candidate_ids)
-        # each entry against every entry of its point
-        second, first = t.entries(t.site)
-        gram = np.bincount(t.demand[first] * n + t.demand[second],
-                           t.values[first] * t.values[second], minlength=n * n)
+        gram, reach = np.zeros(n * n), np.diff(t.starts)[t.site]
+        # each entry's block: the pairs before it, over _GRAM_BLOCK
+        cuts = list(np.flatnonzero(np.diff((np.cumsum(reach) - reach) // _GRAM_BLOCK)) + 1)
+        for lo, hi in zip([0, *cuts], [*cuts, len(reach)]):
+            second, first = t.entries(t.site[lo:hi])
+            np.add.at(gram, t.demand[first + lo] * n + t.demand[second],
+                      t.values[first + lo] * t.values[second])
         return gram.reshape(n, n)
+
+    @cached_property
+    def peaks(self) -> dict[str, np.ndarray]:
+        """Per group, each demand point's largest entry of ``by_demand``."""
+        out = {g: np.zeros(self.n_demands) for g in self.by_demand}
+        for g, t in self.by_demand.items():
+            np.maximum.at(out[g], t.site, t.values)
+        return out
 
     def evaluate_block(self, open_idx: np.ndarray):
         """(objective, feasible, total squared shortfall) arrays for B layouts.
@@ -430,79 +444,89 @@ def greedy_construct(
 
 
 def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
-    """Certain bounds on ``evaluate`` for every drop and swap from ``current``.
+    """Certain bounds on ``evaluate`` for the drops and swaps from ``current``
+    that may be feasible: (outs, closed, rows, cols, objective lower bounds).
 
-    Returns (outs, closed, objective lower bounds, maybe feasible): row r of
-    the two (len(outs), 1 + len(closed)) arrays closes ``outs[r]``, column 0
-    drops it and column 1 + q swaps in ``closed[q]``.
-
-    Let x = F - a_sigma for the canonical primary field F, and o and n the
-    rows of the sites a move closes and opens (n = 0 for a drop).  The
-    move's squared deviation is the sum of (x - o + n)^2 = x.x + (o.o -
-    2 o.x) + (n.n + 2 n.x) - 2 o.n: three row products a side, and the o.n
-    of the candidates' ``gram``.  Whatever the order of its sums, each dot
-    product is off by at most D unit roundoffs times its magnitude, and
-    the magnitudes sum to (|x| + o + n)^2; ``sum_tol`` covers that four
-    times over, and with it the rounding of x and of the bound itself.
-    The canonical field after the move is within ``field_tol * (F + n)``
-    of F - o + n, which lowers each square by at most twice that times
-    |x| + o + n.  A point that closing ``out`` alone leaves certainly
-    below the floor must be lifted by n, so feasibility is checked on
-    those points alone, against n raised by its field bound: a move may
-    be feasible only if its n reaches every such point high enough.  The
-    row products and these checks read the rows' non-zero entries alone.
-    Points already short in ``current`` are not checked: local search
-    starts from feasible layouts only, and a check left out only leaves a
-    move marked maybe feasible.
+    Move i closes ``outs[rows[i]]`` and opens ``closed[cols[i] - 1]``, or
+    nothing where ``cols[i]`` is 0, row by row.  A point that closing ``out``
+    alone leaves certainly short must be lifted by n, the row opened, raised
+    by its field bound; so a row keeps every move if it has no such point,
+    else the swaps that lift them all, and a move left out is certainly
+    infeasible.  Points short in ``current`` are not checked: local search
+    starts feasible, and a check left out only keeps a move.  A move kept,
+    with x = F - a_sigma for the canonical primary field F and o and n the
+    rows it closes and opens (n = 0 for a drop), has the squared deviation
+    (x - o + n)^2 = x.x + (o.o - 2 o.x) + (n.n + 2 n.x) - 2 o.n, o.n from
+    ``gram``.  In any order, each dot product is off by at most D unit
+    roundoffs times its magnitude, and the magnitudes sum to (|x| + o + n)^2;
+    ``sum_tol`` covers that four times over, and the rounding of x and of
+    the bound.  The canonical field after the move is within ``field_tol *
+    (F + n)`` of F - o + n, which lowers each square by at most twice that
+    times |x| + o + n.
     """
     p = ev.params
     outs = sorted(current)
-    closed = [c for c in ev.candidate_ids if c not in current]
     is_open = np.array([c in current for c in ev.candidate_ids], dtype=bool)
-    n_cand, n_outs = len(is_open), len(outs)
-    row_of = np.cumsum(is_open) - 1  # each open candidate's row
+    opened, shut = np.flatnonzero(is_open), np.flatnonzero(~is_open)
+    closed = [ev.candidate_ids[j] for j in shut]
+    n_cand, n_outs, width = len(is_open), len(outs), 1 + len(shut)
+    row_of, col_of = np.cumsum(is_open) - 1, np.cumsum(~is_open)
     fields = ev.fields(current)
-    maybe_feasible = np.ones((n_outs, 1 + len(closed)), dtype=bool)
     floor = p.a_sigma - FEASIBILITY_TOL
+    deficits, keys = np.zeros(n_outs, dtype=np.intp), []
     for g in p.constraint_groups:
         F, pos, t = fields[g], ev.pos_mask[g], ev.by_demand[g]
         # (row, point, F - o) for the points of each closing row; with n = 0
-        # the field bound is field_tol * F
-        closing = is_open[t.demand]
-        rows, points = row_of[t.demand[closing]], t.site[closing]
-        base = F[points] - t.values[closing]
-        deficit = (base + (ev.field_tol * F[points] + _TINY) < floor) & pos[points]
+        # the field bound is field_tol * F.  F - o rounds no lower for a lower
+        # o, so only the points that their largest entry may leave short count
+        err = ev.field_tol * F + _TINY
+        at, _ = t.entries(np.flatnonzero(((F - ev.peaks[g]) + err < floor) & pos))
+        at = at[is_open[t.demand[at]]]
+        rows, points = row_of[t.demand[at]], t.site[at]
+        base = F[points] - t.values[at]
+        deficit = base + err[points] < floor
         rows, points, base = rows[deficit], points[deficit], base[deficit]
-        n_deficit = np.bincount(rows, minlength=n_outs)
-        # each deficit against every candidate that reaches its point
+        deficits += np.bincount(rows, minlength=n_outs)
+        # each deficit against every closed candidate that reaches its point
         at, which = t.entries(points)
         n = t.values[at]
         raised = n + (ev.field_tol * (F[points[which]] + n) + _TINY)
-        lifts = np.bincount(rows[which] * n_cand + t.demand[at],
-                            ~(base[which] + raised < floor), minlength=n_outs * n_cand)
-        lifts = lifts.reshape(n_outs, n_cand)[:, ~is_open]
-        maybe_feasible[:, 0] &= n_deficit == 0
-        maybe_feasible[:, 1:] &= lifts == n_deficit[:, None]
+        lifts = ~(base[which] + raised < floor) & ~is_open[t.demand[at]]
+        keys.append(rows[which[lifts]] * width + col_of[t.demand[at[lifts]]])
+    # each move of a row without deficits once, each swap once a lift: keep
+    # the moves listed max(1, deficits) times
+    free = np.flatnonzero(deficits == 0)
+    cells = np.concatenate(((free[:, None] * width + np.arange(width)).ravel(), *keys))
+    cells = np.sort(cells)
+    first = np.flatnonzero(np.diff(cells, prepend=-1))
+    count = np.diff(np.append(first, len(cells)))
+    cells = cells[first]
+    rows = cells // width
+    keep = count == np.maximum(deficits, 1)[rows]
+    rows, cols = rows[keep], (cells - rows * width)[keep]
 
     t, F = ev.by_demand[p.primary_group], fields[p.primary_group]
     x = F - p.a_sigma
     ax = np.abs(x)
     xx, axF = np.einsum("i,i->", x, x), np.einsum("i,i->", ax, F)
-    vv, vx, vax, vF = (np.bincount(t.demand, t.values * w, minlength=n_cand)
-                       for w in (t.values, x[t.site], ax[t.site], F[t.site]))
-    oo, ox, oax, oF = (v[is_open] for v in (vv, vx, vax, vF))
-    nn, nx, nax, nF = (np.concatenate(([0.0], v[~is_open])) for v in (vv, vx, vax, vF))
-    on = np.zeros((n_outs, 1 + len(closed)))
-    on[:, 1:] = ev.gram[np.ix_(is_open, ~is_open)]
-    squares = (xx + oo - 2 * ox)[:, None] + (nn + 2 * nx) - 2 * on
-    norm = (xx + oo + 2 * oax)[:, None] + (nn + 2 * nax) + 2 * on
-    field_err = (axF + oF)[:, None] + (nF + nn + nax) + on
+    # -1 stands for a drop's n: its sums are 0, and its column of gram unused;
+    # the diagonal of gram holds each row's o.o, summed as a bincount would
+    sums = [np.append(np.diagonal(ev.gram), 0.0)]
+    sums += (np.bincount(t.demand, t.values * w, minlength=n_cand + 1)
+             for w in (x[t.site], ax[t.site], F[t.site]))
+    out, inn = opened[rows], np.append(-1, shut)[cols]
+    oo, ox, oax, oF = (v[out] for v in sums)
+    nn, nx, nax, nF = (v[inn] for v in sums)
+    on = np.where(cols > 0, ev.gram[out, inn], 0.0)
+    squares = (xx + oo - 2 * ox) + (nn + 2 * nx) - 2 * on
+    norm = (xx + oo + 2 * oax) + (nn + 2 * nax) + 2 * on
+    field_err = (axF + oF) + (nF + nn + nax) + on
     slack = ev.sum_tol * norm + 2 * ev.field_tol * field_err
-    least = p.alpha * (n_outs - (np.arange(1 + len(closed)) == 0))
+    least = p.alpha * (n_outs - (cols == 0))
     # fmax: where a sum overflowed (inf - inf) only alpha * k remains
     objective_lo = np.fmax((least + p.beta * (squares - slack)) * (1.0 - ev.sum_tol)
                            - _TINY, least)
-    return outs, closed, objective_lo, maybe_feasible
+    return outs, closed, rows, cols, objective_lo
 
 
 def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
@@ -514,11 +538,11 @@ def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
     site-id order, and keeps the first move of least objective.  Here
     ``_drop_swap_bounds`` screens every move of the step at once.
     """
-    outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
+    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
     threshold = current_obj - IMPROVEMENT_TOL
-    rows, cols = np.nonzero(maybe_feasible & ~(objective_lo >= threshold))
+    keep = ~(objective_lo >= threshold)
+    rows, cols, lows = rows[keep], cols[keep], objective_lo[keep]
     scan_pos = np.where(cols == 0, rows, len(outs) + rows * len(closed) + cols - 1)
-    lows = objective_lo[rows, cols]
     best = None
     for t in np.argsort(lows, kind="stable"):
         if best is not None and lows[t] > best[0]:

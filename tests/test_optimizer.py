@@ -20,6 +20,7 @@ from accessopt.optimizer import (
     objective_value,
     _Evaluator,
     _greedy,
+    _local_search,
     optimize,
 )
 from accessopt.routing import build_travel_time_matrices
@@ -475,7 +476,10 @@ def test_city_routing_and_evaluator_memory_bounded_by_walk_radius():
     demand × site array: one dense float array of that shape alone is
     69 MB, and the dense layout peaked at 284 MB in routing.  Greedy holds
     no (closed candidates × demand) block either: one is 64 MB at its first
-    step."""
+    step.  The candidates' Gram matrix holds a block of pairs beside its
+    800 × 800 result, where all pairs at once peaked at 14.4 MB for that
+    5.1 MB; and local search holds no (open × closed) block, where its
+    dense screen peaked at 11.6 MB."""
     sc = generate_synthetic_scenario(0, grid_rows=100, grid_cols=100,
                                      n_existing=60, n_candidate=800)
     tracemalloc.start()
@@ -483,11 +487,23 @@ def test_city_routing_and_evaluator_memory_bounded_by_walk_radius():
         ev = _Evaluator(sc, build_travel_time_matrices(sc), params())
         held, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        _, trace, feasible = _greedy(ev)
+        start, trace, feasible = _greedy(ev)
         greedy_peak = tracemalloc.get_traced_memory()[1] - held
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        gram = ev.gram
+        gram_peak = tracemalloc.get_traced_memory()[1] - held
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, moves = _local_search(ev, start, 1000)
+        search_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
     assert (len(sc.demands), len(sc.sites)) == (10_000, 860)
     assert peak < 25e6
     assert feasible and len(trace) > 500
     assert greedy_peak < 5e6, greedy_peak
+    assert gram.shape == (800, 800)
+    assert gram_peak < 2 * gram.nbytes, gram_peak
+    assert len(moves) == 127
+    assert search_peak < 11.6e6 / 3, search_peak

@@ -20,6 +20,8 @@ from accessopt import optimizer
 from accessopt.accessibility import accessibility_scores
 from accessopt.geodata import FacilitySite, Scenario, generate_synthetic_scenario
 from accessopt.optimizer import (
+    _TINY,
+    FEASIBILITY_TOL,
     IMPROVEMENT_TOL,
     Layout,
     ObjectiveParams,
@@ -231,24 +233,109 @@ def test_instances_cover_every_case():
                        "primary=general", "primary=elderly"}
 
 
+def all_pairs_gram(ev):
+    """The candidates' Gram matrix from one ``bincount`` of every pair of
+    entries at each demand point, as it was built before it was blocked."""
+    t, n = ev.by_demand[ev.params.primary_group], len(ev.candidate_ids)
+    second, first = t.entries(t.site)
+    gram = np.bincount(t.demand[first] * n + t.demand[second],
+                       t.values[first] * t.values[second], minlength=n * n)
+    return gram.reshape(n, n)
+
+
+def dense_drop_swap_bounds(ev, current):
+    """Local search's screen as it was before it bounded only the moves that
+    may be feasible: (outs, closed, objective bounds, maybe feasible), the
+    two arrays (len(outs), 1 + len(closed)), column 0 the drop and column
+    1 + q the swap that opens ``closed[q]``; the same argument as
+    ``_drop_swap_bounds``, at every move."""
+    p = ev.params
+    outs = sorted(current)
+    closed = [c for c in ev.candidate_ids if c not in current]
+    is_open = np.array([c in current for c in ev.candidate_ids], dtype=bool)
+    n_cand, n_outs = len(is_open), len(outs)
+    row_of = np.cumsum(is_open) - 1  # each open candidate's row
+    fields = ev.fields(current)
+    maybe_feasible = np.ones((n_outs, 1 + len(closed)), dtype=bool)
+    floor = p.a_sigma - FEASIBILITY_TOL
+    for g in p.constraint_groups:
+        F, pos, t = fields[g], ev.pos_mask[g], ev.by_demand[g]
+        closing = is_open[t.demand]
+        rows, points = row_of[t.demand[closing]], t.site[closing]
+        base = F[points] - t.values[closing]
+        deficit = (base + (ev.field_tol * F[points] + _TINY) < floor) & pos[points]
+        rows, points, base = rows[deficit], points[deficit], base[deficit]
+        n_deficit = np.bincount(rows, minlength=n_outs)
+        at, which = t.entries(points)
+        n = t.values[at]
+        raised = n + (ev.field_tol * (F[points[which]] + n) + _TINY)
+        lifts = np.bincount(rows[which] * n_cand + t.demand[at],
+                            ~(base[which] + raised < floor), minlength=n_outs * n_cand)
+        lifts = lifts.reshape(n_outs, n_cand)[:, ~is_open]
+        maybe_feasible[:, 0] &= n_deficit == 0
+        maybe_feasible[:, 1:] &= lifts == n_deficit[:, None]
+
+    t, F = ev.by_demand[p.primary_group], fields[p.primary_group]
+    x = F - p.a_sigma
+    ax = np.abs(x)
+    xx, axF = np.einsum("i,i->", x, x), np.einsum("i,i->", ax, F)
+    vv, vx, vax, vF = (np.bincount(t.demand, t.values * w, minlength=n_cand)
+                       for w in (t.values, x[t.site], ax[t.site], F[t.site]))
+    oo, ox, oax, oF = (v[is_open] for v in (vv, vx, vax, vF))
+    nn, nx, nax, nF = (np.concatenate(([0.0], v[~is_open])) for v in (vv, vx, vax, vF))
+    on = np.zeros((n_outs, 1 + len(closed)))
+    on[:, 1:] = all_pairs_gram(ev)[np.ix_(is_open, ~is_open)]
+    squares = (xx + oo - 2 * ox)[:, None] + (nn + 2 * nx) - 2 * on
+    norm = (xx + oo + 2 * oax)[:, None] + (nn + 2 * nax) + 2 * on
+    field_err = (axF + oF)[:, None] + (nF + nn + nax) + on
+    slack = ev.sum_tol * norm + 2 * ev.field_tol * field_err
+    least = p.alpha * (n_outs - (np.arange(1 + len(closed)) == 0))
+    objective_lo = np.fmax((least + p.beta * (squares - slack)) * (1.0 - ev.sum_tol)
+                           - _TINY, least)
+    return outs, closed, objective_lo, maybe_feasible
+
+
+def assert_screen_equals_dense(ev, current):
+    """The screen keeps exactly the moves that the dense screen marks maybe
+    feasible, row by row, and bounds each with the dense screen's bits: it
+    does the same arithmetic, one move at a time."""
+    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
+    dense_outs, dense_closed, dense_lo, maybe_feasible = dense_drop_swap_bounds(ev, current)
+    assert (outs, closed) == (dense_outs, dense_closed)
+    kept_rows, kept_cols = np.nonzero(maybe_feasible)
+    assert np.array_equal(rows, kept_rows) and np.array_equal(cols, kept_cols)
+    assert np.array_equal(objective_lo, dense_lo[rows, cols])
+
+
 def drop_swap_moves(ev, current):
-    """Every drop and swap from ``current`` with local search's bounds:
-    yields (layout after the move, objective bound, maybe feasible)."""
-    outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
-    assert objective_lo.shape == maybe_feasible.shape == (len(outs), 1 + len(closed))
+    """Every drop and swap from ``current`` with local search's screen:
+    yields (layout after the move, objective bound), the bound None where
+    the screen leaves the move out as certainly infeasible."""
+    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
+    width = 1 + len(closed)
+    assert len(rows) == len(cols) == len(objective_lo)
+    assert np.all((0 <= cols) & (cols < width))
+    cells = rows * width + cols
+    assert np.all(np.diff(cells) > 0)  # row by row, each move once
+    bounds = dict(zip(cells.tolist(), objective_lo.tolist()))
     for r, out in enumerate(outs):
         stay = current - {out}
         layouts = [stay] + [stay | {c} for c in closed]
-        yield from zip(layouts, objective_lo[r], maybe_feasible[r])
+        for q, layout in enumerate(layouts):
+            yield layout, bounds.get(r * width + q)
 
 
 def assert_bounds_hold(ev, current, tight=True):
-    """Every bound of local search's ``_drop_swap_bounds`` lies on the right
-    side of the canonical value."""
-    for layout, objective_lo, maybe_feasible in drop_swap_moves(ev, current):
+    """Every move that local search's ``_drop_swap_bounds`` leaves out is
+    infeasible, and every bound it gives lies on the right side of the
+    canonical value; the screen also matches the dense screen."""
+    assert_screen_equals_dense(ev, current)
+    for layout, objective_lo in drop_swap_moves(ev, current):
         objective, feasible, _ = ev.evaluate(layout)
+        if objective_lo is None:
+            assert not feasible
+            continue
         assert objective_lo <= objective
-        assert maybe_feasible or not feasible
         if tight:  # close enough to the canonical value to screen
             assert objective - objective_lo <= 1e-9 * max(1.0, objective)
 
@@ -282,6 +369,43 @@ def test_screen_bounds_hold(name):
     rng = np.random.default_rng(list(INSTANCES).index(name))
     for _ in range(4):
         assert_bounds_hold(ev, {c for c in ev.candidate_ids if rng.random() < 0.5})
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_screen_equals_dense_screen(name):
+    """On random layouts, the layouts of the search and the all-open one,
+    the screen keeps the dense screen's moves with its bounds."""
+    (scenario, matrices, params), (trace, final), _, _ = outcome(name)
+    ev = _Evaluator(scenario, matrices, params)
+    rng = np.random.default_rng(list(INSTANCES).index(name))
+    layouts = [{c for c in ev.candidate_ids if rng.random() < p}
+               for p in (0.2, 0.5, 0.8, 0.5)]
+    layouts += [set(ev.candidate_ids), set(final), {step[1] for step in trace
+                                                     if step[0] == "open"}]
+    for current in layouts:
+        assert_screen_equals_dense(ev, current)
+
+
+@pytest.mark.parametrize("block", [1, 64, optimizer._GRAM_BLOCK])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_gram_equals_all_pairs(name, block, monkeypatch):
+    """The Gram matrix built a block of pairs at a time has the bits of one
+    bincount of every pair, whatever the blocks."""
+    monkeypatch.setattr(optimizer, "_GRAM_BLOCK", block)
+    ev = _Evaluator(*INSTANCES[name]())
+    assert np.array_equal(ev.gram, all_pairs_gram(ev))
+
+
+def test_gram_spans_many_blocks(monkeypatch):
+    """At the default block size the benchmark city's pairs span several
+    blocks, and at 64 pairs a block several hundred."""
+    ev = _Evaluator(*bench_city())
+    t = ev.by_demand[ev.params.primary_group]
+    pairs = int(np.sum(np.diff(t.starts) ** 2))
+    assert pairs > 10 * optimizer._GRAM_BLOCK
+    monkeypatch.setattr(optimizer, "_GRAM_BLOCK", 64)
+    assert pairs > 500 * 64
+    assert np.array_equal(ev.gram, all_pairs_gram(ev))
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -367,8 +491,14 @@ def weaken_bounds(monkeypatch, seed):
         return value | (rng.random(value.shape) < 0.3)
 
     def scramble(ev, current):
-        outs, closed, objective_lo, maybe_feasible = _drop_swap_bounds(ev, current)
-        return outs, closed, lower(objective_lo), doubt(maybe_feasible)
+        # keep some moves that the screen leaves out, with the dense bounds
+        outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
+        _, _, dense_lo, _ = dense_drop_swap_bounds(ev, current)
+        kept = np.zeros(dense_lo.shape, dtype=bool)
+        kept[rows, cols] = True
+        dense_lo[rows, cols] = objective_lo
+        rows, cols = np.nonzero(doubt(kept))
+        return outs, closed, rows, cols, lower(dense_lo[rows, cols])
 
     def screen(ev, open_ids, shortfall):
         return lower(_open_bounds(ev, open_ids, shortfall))
