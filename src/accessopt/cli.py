@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -309,7 +310,8 @@ def _write_geojson(path: Path, scenario: Scenario, open_ids, fields, bin_spec) -
     """Every site, then every demand point with its scores, as a GeoJSON
     FeatureCollection: the bytes of ``_write_json`` on the same dicts.
 
-    The features are formatted, and written, in batches.  In each batch
+    The features are formatted, and written, in batches: into a ``.part``
+    file beside ``path``, which is then renamed onto it.  In each batch
     every property is formatted a column at a time, then each feature's
     template is filled from its row of the columns.
     """
@@ -338,17 +340,24 @@ def _write_geojson(path: Path, scenario: Scenario, open_ids, fields, bin_spec) -
                         _json_leaves([d.pop_of(name) for d in demands]))
         return ",\n".join(map(demand.__mod__, zip(*columns)))
 
-    # every batch is formatted before the file is opened, so a value that
-    # JSON refuses leaves no partial file
-    batches = [features(rows[start:start + _GEOJSON_BATCH])
-               for rows, features in ((scenario.sites, site_features),
-                                      (scenario.demands, demand_features))
-               for start in range(0, len(rows), _GEOJSON_BATCH)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{\n  "type": "FeatureCollection",\n  "features": [\n')
-        for k, batch in enumerate(batches):
-            fh.write(",\n" + batch if k else batch)
-        fh.write("\n  ]\n}\n")
+    # each batch is written as soon as it is formatted, into a part file
+    # that replaces ``path`` only once whole, so a value that JSON refuses
+    # leaves no partial file and the whole text is never held at once
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write('{\n  "type": "FeatureCollection",\n  "features": [\n')
+            sep = ""
+            for rows, features in ((scenario.sites, site_features),
+                                   (scenario.demands, demand_features)):
+                for start in range(0, len(rows), _GEOJSON_BATCH):
+                    fh.write(sep + features(rows[start:start + _GEOJSON_BATCH]))
+                    sep = ",\n"
+            fh.write("\n  ]\n}\n")
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _write_layout(out: Path, scenario: Scenario, open_ids, fields, coverage,

@@ -60,7 +60,9 @@ _STATUSES = (EXISTING, CANDIDATE)
 DEFAULT_CAPACITY = 1500.0
 
 
-@dataclass(frozen=True)
+# A city holds one of each of these records per node, edge, demand point or
+# site, so they keep their fields in slots, with no ``__dict__`` each.
+@dataclass(frozen=True, slots=True)
 class Coordinate:
     """WGS84 position in decimal degrees."""
 
@@ -74,7 +76,7 @@ class Coordinate:
             raise ValidationError(f"lat {_shown(self.lat)} outside [-90, 90]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     from_id: str
     to_id: str
@@ -184,7 +186,7 @@ DEFAULT_GROUPS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemandPoint:
     demand_id: str
     location: Coordinate
@@ -221,7 +223,7 @@ class DemandPoint:
         return self.total_population == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacilitySite:
     site_id: str
     location: Coordinate
@@ -437,8 +439,12 @@ def parse_network(nodes_path, edges_path) -> RoadNetwork:
         nodes_path, {"node_id": _id, "lon": _number, "lat": _number},
         lambda nid, lon, lat: (nid, Coordinate(lon, lat)),
         check=lambda built: _first_repeat([nid for nid, _ in built], "node_id")))
+    # each edge end is the node table's own id string, not a copy of it; an
+    # unknown id is kept as read, for ``_first_clash`` to name
+    own = {nid: nid for nid in nodes}
     edges = read_csv(edges_path, {"from_id": _text, "to_id": _text, "length_m": _number,
-                                  "bidirectional": _direction}, Edge,
+                                  "bidirectional": _direction},
+                     lambda a, b, *rest: Edge(own.get(a, a), own.get(b, b), *rest),
                      check=lambda built: _first_clash(built, nodes))
     return RoadNetwork._claimed(nodes, tuple(edges))
 

@@ -497,7 +497,9 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     # the moves listed max(1, deficits) times
     free = np.flatnonzero(deficits == 0)
     cells = np.concatenate(((free[:, None] * width + np.arange(width)).ravel(), *keys))
-    cells = np.sort(cells)
+    # stable: the same sorted values, without paging in the default sort's
+    # vectorised kernels, which raise the peak RSS of a search
+    cells = np.sort(cells, kind="stable")
     first = np.flatnonzero(np.diff(cells, prepend=-1))
     count = np.diff(np.append(first, len(cells)))
     cells = cells[first]

@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -468,9 +469,21 @@ def build_travel_time_matrices(
 
 
 def write_matrix_csv(matrix: TravelTimeMatrix, path) -> None:
-    """Dump as ``demand_id,site_id,minutes`` rows; unreachable pairs say ``inf``."""
-    write_csv(path, ("demand_id", "site_id", "minutes"), (
-        (did, sid, t)
-        for did, times in zip(matrix.demand_order, matrix.times_min.tolist())
-        for sid, t in zip(matrix.site_order, times)
-    ))
+    """Dump as ``demand_id,site_id,minutes`` rows; unreachable pairs say ``inf``.
+
+    The rows are made one demand point at a time, from the point-major
+    form, so no demand x site array is held.
+    """
+    # stored a demand point at a time: its ``demand`` holds site indices
+    by_point = matrix.times.T
+    starts = by_point.starts.tolist()
+
+    def rows():
+        for did, first, last in zip(matrix.demand_order, starts, starts[1:]):
+            times = [by_point.fill] * len(matrix.site_order)
+            for j, t in zip(by_point.demand[first:last].tolist(),
+                            by_point.values[first:last].tolist()):
+                times[j] = t
+            yield from zip(repeat(did), matrix.site_order, times)
+
+    write_csv(path, ("demand_id", "site_id", "minutes"), rows())

@@ -425,11 +425,23 @@ class TestNonFiniteInput:
             object.__setattr__(candidate, "capacity", float("nan"))
             return scenario
 
+        # one feature a batch, so the features before the NaN are written
+        monkeypatch.setattr(cli, "_GEOJSON_BATCH", 1)
         monkeypatch.setattr(cli, "load_scenario", load_with_nan)
         out = tmp_path / "o"
         assert main(["score", "--config", str(cfg), "--out", str(out)]) == 2
         assert "not JSON compliant: nan" in capsys.readouterr().err
         assert not (out / "layout.geojson").exists()
+        assert not (out / "layout.geojson.part").exists()
+        # a layout.geojson from an earlier run keeps its bytes
+        monkeypatch.setattr(cli, "load_scenario", load)
+        earlier = tmp_path / "earlier"
+        assert main(["score", "--config", str(cfg), "--out", str(earlier)]) == 0
+        kept = (earlier / "layout.geojson").read_bytes()
+        monkeypatch.setattr(cli, "load_scenario", load_with_nan)
+        assert main(["score", "--config", str(cfg), "--out", str(earlier)]) == 2
+        assert (earlier / "layout.geojson").read_bytes() == kept
+        assert not (earlier / "layout.geojson.part").exists()
 
     def test_edge_length_names_file_and_line(self, tmp_path, capsys):
         bundle = tmp_path / "bundle"

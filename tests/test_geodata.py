@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -84,6 +85,24 @@ class TestParseNetwork:
         with pytest.raises(ValidationError) as built:
             RoadNetwork({"a": here, "b": here}, (Edge("a", "b", 100.0), Edge("b", "zz", 90.0)))
         assert str(built.value) == "edge b->zz references unknown node 'zz'"
+
+    def test_edge_ends_are_the_node_tables_ids(self, tmp_path):
+        """Each edge end is the string object that keys the node table, not
+        a copy; an unknown end is still named at its line."""
+        nodes = write(tmp_path / "n.csv", "node_id,lon,lat\nnorth,118.7,32.0\n"
+                                          "south,118.71,32.0\nwest,118.72,32.0\n")
+        rows = "from_id,to_id,length_m,bidirectional\nnorth,south,100,1\n" \
+               " south ,west,90,0\nwest,north,80,\n"
+        net = parse_network(nodes, write(tmp_path / "e.csv", rows))
+        keys = {nid: nid for nid in net.nodes}
+        assert [(e.from_id, e.to_id) for e in net.edges] == [
+            ("north", "south"), ("south", "west"), ("west", "north")]
+        assert all(e.from_id is keys[e.from_id] and e.to_id is keys[e.to_id]
+                   for e in net.edges)
+        edges = write(tmp_path / "e.csv", rows + "west,east,70,1\n")
+        with pytest.raises(ValidationError) as info:
+            parse_network(nodes, edges)
+        assert str(info.value) == f"{edges}:5: edge west->east references unknown node 'east'"
 
     def test_duplicate_edge_rejected(self, tmp_path):
         nodes = write(tmp_path / "n.csv", NODES_OK)
@@ -230,6 +249,34 @@ class TestTypes:
             Edge("a", "b", np.float64(0.0))
         with pytest.raises(ValidationError, match=r"^lat 95\.5 "):
             Coordinate(0.0, np.float64(95.5))
+
+    @pytest.mark.parametrize("record,change", [
+        (Coordinate(118.7, 32.0), {"lat": 32.5}),
+        (Edge("north", "south", 100.0, False), {"length_m": 90.0}),
+        (DemandPoint("d", Coordinate(0, 0), {"general": 5}), {"demand_id": "e"}),
+        (FacilitySite("s", Coordinate(0, 0), "existing", 900.0), {"status": "candidate"}),
+    ], ids=lambda value: type(value).__name__)
+    def test_records_are_slotted_and_frozen(self, record, change):
+        """The records a city holds by the thousand keep no ``__dict__``, yet
+        refuse assignment, compare, hash and ``replace`` as frozen dataclasses
+        do."""
+        assert not hasattr(record, "__dict__")
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))
+        twin = dataclasses.replace(record)
+        assert twin == record and twin is not record
+        values = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+        if isinstance(record, DemandPoint):
+            with pytest.raises(TypeError, match="unhashable"):  # its population dict
+                hash(record)
+        else:
+            assert hash(twin) == hash(record) == hash(values)
+        changed = dataclasses.replace(record, **change)
+        assert changed != record
+        assert [getattr(changed, key) for key in change] == list(change.values())
+        assert dataclasses.replace(changed, **{key: getattr(record, key)
+                                               for key in change}) == record
 
     def test_coordinate_range(self):
         with pytest.raises(ValidationError):

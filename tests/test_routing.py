@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from accessopt.geodata import Coordinate, Edge, RoadNetwork, Scenario, ValidationError
+from accessopt.geodata import (
+    Coordinate,
+    Edge,
+    RoadNetwork,
+    Scenario,
+    ValidationError,
+    write_csv,
+)
 from accessopt.routing import (
     SnapDistanceWarning,
     build_travel_time_matrices,
@@ -127,6 +134,15 @@ class TestShortestPaths:
             assert np.all(dist <= via + 1e-9)
 
 
+def dense_matrix_csv(matrix, path):
+    """Reference for ``write_matrix_csv``: every row from the dense array."""
+    write_csv(path, ("demand_id", "site_id", "minutes"), (
+        (did, sid, t)
+        for did, times in zip(matrix.demand_order, matrix.times_min.tolist())
+        for sid, t in zip(matrix.site_order, times)
+    ))
+
+
 def two_node_scenario(length=700.0, site_offset=None):
     """One demand on node a, one site on node b, one edge between."""
     a = Coordinate(118.70, 32.00)
@@ -216,6 +232,20 @@ class TestTravelTimeMatrix:
         lines = path.read_text().splitlines()
         assert lines[0] == "demand_id,site_id,minutes"
         assert lines[1] == "d0,s0,inf"
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matrix_csv_matches_dense_writer(self, tmp_path, seed):
+        """The dump, made one demand point at a time, has the bytes of one
+        made from the dense array, unreachable pairs and any site order
+        included."""
+        sc = random_scenario(seed, two_groups=True, max_sites=10, p_oneway=0.3)
+        rng = np.random.default_rng(seed)
+        for m in build_travel_time_matrices(sc).values():
+            m = m.select(rng.permutation(len(m.site_order)))
+            write_matrix_csv(m, tmp_path / "streamed.csv")
+            dense_matrix_csv(m, tmp_path / "dense.csv")
+            assert (tmp_path / "streamed.csv").read_bytes() == \
+                (tmp_path / "dense.csv").read_bytes()
 
     def test_distance_matrix_reused_across_groups(self):
         sc = random_scenario(19, two_groups=True)
