@@ -584,7 +584,8 @@ def generate_synthetic_scenario(
     goes where the most not-yet-absorbed population is within walking reach,
     so dense blobs attract several candidates and the fringe still gets
     covered.  The first group carries the base population; later groups get
-    a random fraction of it per point.
+    a random fraction of it per point.  ``seeded.Stream`` draws the numbers
+    ``numpy.random.default_rng(seed)`` would.
 
     A site reaches the grid nodes within ``reach`` steps of it in Manhattan
     distance; ``reach`` comes from the first group's walk limit.  Each
@@ -603,10 +604,13 @@ def generate_synthetic_scenario(
     O(N * reach**2) arithmetic in all and never more than N**2, and the
     placement holds O(N) memory for N grid nodes.
 
-    A ``spacing_m`` so small that an edge length would round to 0 m, or so
-    large that the grid would pass lon 180 or lat 90, is refused before any
-    work.
+    A negative seed, a ``spacing_m`` so small that an edge length would round
+    to 0 m, or one so large that the grid would pass lon 180 or lat 90, is
+    refused before any work.
     """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if grid_rows < 2 or grid_cols < 2:
         raise ValidationError(f"grid must be at least 2x2, got {grid_rows}x{grid_cols}")
     if n_existing < 0 or n_candidate < 0:
@@ -639,7 +643,9 @@ def generate_synthetic_scenario(
             "grid: its far corner would pass lon 180 or lat 90"
         )
 
-    rng = np.random.default_rng(seed)
+    from .seeded import Stream
+
+    rng = Stream(seed)
     width = max(4, len(str(n_nodes - 1)))
     rows, cols = np.divmod(np.arange(n_nodes), grid_cols)
     node_ids = [f"n{i:0{width}d}" for i in range(n_nodes)]
@@ -703,8 +709,7 @@ def generate_synthetic_scenario(
         w = np.exp(-((rows - rows[anchor]) ** 2 + (cols - cols[anchor]) ** 2)
                    / (2 * cluster_sigma**2))
         p = w / w.sum()
-        site_nodes = [int(i) for i in
-                      rng.choice(n_nodes, size=n_existing, replace=False, p=p)]
+        site_nodes = rng.choice(n_nodes, n_existing, p)
 
     # candidate placement, two-phase greedy over walking reach:
     # first bring every populated node within reach of some site, then pile

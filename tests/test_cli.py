@@ -160,6 +160,13 @@ class TestSynth:
         assert "np." not in err
         assert not out.exists()
 
+    def test_negative_seed_refused(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["synth", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_grid_below_minimum(self, tmp_path, capsys):
         code = main(["synth", "--grid-rows", "1", "--grid-cols", "1",
                      "--out", str(tmp_path / "x")])

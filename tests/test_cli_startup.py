@@ -1,9 +1,10 @@
 """What a fresh command pays for before it works.
 
-``synth`` and ``score`` never import the search: a command's process is
-checked after it exits.  The names the package and ``cli`` have always
-offered still resolve, and ``solve`` and ``oracle`` call the optimizer
-through ``cli``'s attributes, where a wrapper set on the module is seen.
+``synth`` and ``score`` never import the search, and no command imports
+``numpy.random``: a command's process is checked after it exits.  The
+names the package and ``cli`` have always offered still resolve, and
+``solve`` and ``oracle`` call the optimizer through ``cli``'s attributes,
+where a wrapper set on the module is seen.
 The argument parser shares the config flags of its four commands through
 one parent parser; ``build_parser_per_command``, the construction it
 replaced, is the reference for every command's help and every flag.
@@ -42,7 +43,7 @@ EXPORTS = (
 )
 
 # runs ``python -m accessopt ARGS`` in this process, then reports its exit
-# code and whether the search was ever imported
+# code and whether the search or ``numpy.random`` was ever imported
 RUN_MODULE = """
 import json, runpy, sys
 sys.argv = ["accessopt", *sys.argv[1:]]
@@ -51,7 +52,8 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"exit": code, "optimizer": "accessopt.optimizer" in sys.modules}))
+print(json.dumps({"exit": code, "optimizer": "accessopt.optimizer" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules}))
 """
 
 
@@ -67,13 +69,18 @@ def test_synth_and_score_never_import_the_optimizer(tmp_path):
     synth = run_module("synth", "--seed", "2", "--grid-rows", "6", "--grid-cols", "6",
                        "--n-existing", "2", "--n-candidate", "4", "--out", "city",
                        cwd=tmp_path)
-    assert synth == {"exit": 0, "optimizer": False}
+    assert synth == {"exit": 0, "optimizer": False, "numpy_random": False}
+    assert (tmp_path / "city" / "sites.csv").is_file()
     score = run_module("score", "--config", "city/run.cfg", "--out", "scored",
                        "--dump-matrix", cwd=tmp_path)
-    assert score == {"exit": 0, "optimizer": False}
+    assert score == {"exit": 0, "optimizer": False, "numpy_random": False}
     assert (tmp_path / "scored" / "layout.geojson").is_file()
     solve = run_module("solve", "--config", "city/run.cfg", "--out", "plan", cwd=tmp_path)
     assert solve["optimizer"] is True
+    assert solve["numpy_random"] is False
+    oracle = run_module("oracle", "--config", "city/run.cfg", "--out", "plan", cwd=tmp_path)
+    assert oracle["optimizer"] is True
+    assert oracle["numpy_random"] is False
 
 
 def test_every_export_resolves():

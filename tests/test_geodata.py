@@ -415,6 +415,25 @@ class TestGenerator:
         with pytest.raises(ValidationError, match="2x2"):
             generate_synthetic_scenario(1, grid_rows=1, grid_cols=1)
 
+    def test_negative_seed_refused_first(self):
+        # a 1x1 grid is refused too, but the seed is checked before anything
+        for seed in (-1, np.int64(-5), -2**70):
+            with pytest.raises(ValidationError) as info:
+                generate_synthetic_scenario(seed, grid_rows=1, grid_cols=1)
+            assert str(info.value) == f"seed must be a non-negative integer, got {seed}"
+
+    @pytest.mark.parametrize("seed", [1.0, 1.5, "3", None])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(TypeError):
+            generate_synthetic_scenario(seed, grid_rows=4, grid_cols=4, n_existing=1,
+                                        n_candidate=1)
+
+    def test_integer_like_seeds_draw_as_their_value(self):
+        kw = dict(grid_rows=6, grid_cols=6, n_existing=2, n_candidate=3)
+        sc = generate_synthetic_scenario(7, **kw)
+        assert generate_synthetic_scenario(np.int64(7), **kw) == sc
+        assert generate_synthetic_scenario(np.uint8(7), **kw) == sc
+
     @pytest.mark.parametrize("argument,value", [
         ("population_scale", -1.0), ("population_scale", math.nan),
         ("population_scale", math.inf), ("spacing_m", math.nan),
