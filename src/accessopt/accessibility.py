@@ -226,6 +226,8 @@ def accessibility_scores(
 
 @dataclass(frozen=True)
 class CoverageBin:
+    """The population scoring at or above ``lower_bound``, below the next bin."""
+
     label: str
     lower_bound: float
     population: int
@@ -234,6 +236,8 @@ class CoverageBin:
 
 @dataclass(frozen=True)
 class CoverageReport:
+    """One group's population over the coverage bins, lowest bin first."""
+
     group: str
     bins: tuple[CoverageBin, ...]
 

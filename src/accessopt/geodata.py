@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +78,8 @@ class Coordinate:
 
 @dataclass(frozen=True, slots=True)
 class Edge:
+    """A road segment of ``length_m`` metres between two node ids."""
+
     from_id: str
     to_id: str
     length_m: float
@@ -188,6 +190,8 @@ DEFAULT_GROUPS = (
 
 @dataclass(frozen=True, slots=True)
 class DemandPoint:
+    """A place where people live: its population per group name."""
+
     demand_id: str
     location: Coordinate
     population: Mapping[str, int]
@@ -225,6 +229,8 @@ class DemandPoint:
 
 @dataclass(frozen=True, slots=True)
 class FacilitySite:
+    """A facility, existing or candidate, and the population it can serve."""
+
     site_id: str
     location: Coordinate
     status: str
@@ -563,6 +569,85 @@ _JITTER = (0.95, 1.10)  # edge length / spacing_m, drawn uniformly
 _LENGTH_DECIMALS = 3
 
 
+def _candidate_picks(base_pop: np.ndarray, existing: Sequence[int], n_candidate: int,
+                     reach: int, capacity: float) -> Iterator[tuple[np.ndarray, int]]:
+    """``generate_synthetic_scenario``'s placement greedy: each step's scores
+    and pick, ``(sums, pick)``, after the existing sites at flat indices
+    ``existing``.  ``base_pop`` is the grid of the base population; the next
+    step overwrites ``sums``.
+
+    A pick changes ``covered`` and ``unserved`` only within ``reach`` of
+    it, so the scores only within ``2 * reach`` rows of it: the next step
+    rescores only those rows.  The first step, and the first after the
+    phase turns, rescore every row.
+    """
+    grid_rows, grid_cols = base_pop.shape
+    dr_max, dc_max = min(reach, grid_rows - 1), min(reach, grid_cols - 1)
+    # the values row after row, each row followed by dc_max zeros and all of
+    # them framed by dr_max rows of zeros, so that each stencil offset is
+    # one shift of the flat array.  An offset that leaves the grid adds a
+    # zero, and adding +0.0 leaves a sum of nonnegative values as it is.
+    stride = grid_cols + dc_max
+    origin = dr_max * stride + dc_max
+    framed = np.zeros((grid_rows + 2 * dr_max) * stride + 2 * dc_max)
+    flat_sums = np.zeros(grid_rows * stride)
+    grid, sums = (a.reshape(grid_rows, stride)[:, :grid_cols]
+                  for a in (framed[origin:origin + flat_sums.size], flat_sums))
+    shifts = [origin + dr * stride + dc for dr in range(-dr_max, dr_max + 1)
+              for dc in range(-min(reach - abs(dr), dc_max), min(reach - abs(dr), dc_max) + 1)]
+    # whether each (dr, dc) of the box around a node is within reach of it
+    diamond = np.add.outer(np.abs(np.arange(-dr_max, dr_max + 1)),
+                           np.abs(np.arange(-dc_max, dc_max + 1))) <= reach
+
+    taken = np.zeros(base_pop.shape, dtype=bool)
+    taken.flat[existing] = True
+    covered = np.zeros(base_pop.shape, dtype=bool)
+    unserved = base_pop.astype(float)
+
+    def place(node: int) -> tuple[tuple[slice, slice], np.ndarray]:
+        """Cover the nodes within reach of ``node``; absorb up to ``capacity``
+        of their unserved population.  Returns their box and mask in it."""
+        r, c = divmod(node, grid_cols)
+        r0, r1 = max(0, r - dr_max), min(grid_rows, r + dr_max + 1)
+        c0, c1 = max(0, c - dc_max), min(grid_cols, c + dc_max + 1)
+        box = np.s_[r0:r1, c0:c1]
+        within = diamond[r0 - r + dr_max:r1 - r + dr_max, c0 - c + dc_max:c1 - c + dc_max]
+        covered[box][within] = True
+        total = unserved[box][within].sum()
+        if total > 0:
+            unserved[box][within] *= max(0.0, 1.0 - capacity / total)
+        return box, within
+
+    for node in existing:
+        place(node)
+    grid[...] = np.where(covered, 0.0, base_pop)  # the uncovered population
+    uncovered = np.count_nonzero(grid)
+    if not uncovered:
+        grid[...] = unserved
+    first, last = 0, grid_rows  # the rows to rescore
+    for _ in range(n_candidate):
+        target = flat_sums[first * stride:last * stride]
+        target.fill(0.0)
+        for shift in shifts:
+            target += framed[first * stride + shift:last * stride + shift]
+        pick = int(np.argmax(np.where(taken, -np.inf, sums)))
+        yield sums, pick
+        taken.flat[pick] = True
+        box, within = place(pick)
+        values = grid[box]
+        if not uncovered:
+            values[...] = unserved[box]
+        else:
+            uncovered -= np.count_nonzero(values[within])
+            values[within] = 0.0
+            if not uncovered:  # the phase turns
+                grid[...] = unserved
+                first, last = 0, grid_rows
+                continue
+        r = pick // grid_cols
+        first, last = max(0, r - 2 * dr_max), min(grid_rows, r + 2 * dr_max + 1)
+
+
 def generate_synthetic_scenario(
     seed: int,
     *,
@@ -598,11 +683,14 @@ def generate_synthetic_scenario(
     index.  The stencil is clamped to the grid, ``|dr| < grid_rows`` and
     ``|dc| < grid_cols``.  This is exact, as no offset beyond it lands on a
     node, and it keeps the stencil within ``(2 * grid_rows - 1) *
-    (2 * grid_cols - 1)`` offsets however small ``spacing_m`` is.  Each
-    offset adds only the nodes it lands on.  Covering and absorbing take
-    one node's Manhattan mask.  A step costs one numpy addition per offset,
-    O(N * reach**2) arithmetic in all and never more than N**2, and the
-    placement holds O(N) memory for N grid nodes.
+    (2 * grid_cols - 1)`` offsets however small ``spacing_m`` is.  An
+    offset that leaves the grid adds +0.0, which leaves the bits as they
+    are.  Covering and absorbing take the pick's Manhattan mask, within its
+    box.  A pick changes the scores only within ``2 * reach`` rows of it,
+    so a step rescores only those rows, each offset one numpy addition
+    over them: O(cols * reach**3) arithmetic, O(N**2) at most, besides the
+    O(N) ``argmax`` for N grid nodes.  The first step, and the first after
+    the phase turns, rescore every row.  The placement holds O(N) memory.
 
     A negative seed, a ``spacing_m`` so small that an edge length would round
     to 0 m, or one so large that the grid would pass lon 180 or lat 90, is
@@ -717,55 +805,8 @@ def generate_synthetic_scenario(
     # the placement radius is deliberately tighter than the walk limit so
     # covered points keep a useful decay weight, not a near-zero one
     reach = max(1, int(_SITE_REACH_FACTOR * groups[0].max_walk_m / (spacing_m * 1.05)))
-    grid = np.zeros((grid_rows, grid_cols))
-    sums = np.zeros((grid_rows, grid_cols))
-    # one (sums, grid) view pair per offset, in summation order: the nodes
-    # (r, c) whose (r + dr, c + dc) is on the grid, and those values
-    dr_max = min(reach, grid_rows - 1)
-    stencil = [
-        (sums[max(0, -dr):grid_rows - max(0, dr), max(0, -dc):grid_cols - max(0, dc)],
-         grid[max(0, dr):grid_rows - max(0, -dr), max(0, dc):grid_cols - max(0, -dc)])
-        for dr in range(-dr_max, dr_max + 1)
-        for dc in range(-min(reach - abs(dr), grid_cols - 1),
-                        min(reach - abs(dr), grid_cols - 1) + 1)
-    ]
-
-    def reach_sums(values: np.ndarray) -> np.ndarray:
-        """Each node's sum of ``values`` over the nodes within reach; the
-        next call overwrites it."""
-        grid[...] = values.reshape(grid_rows, grid_cols)
-        sums.fill(0.0)
-        for target, source in stencil:
-            target += source
-        return sums.ravel()
-
-    taken = np.zeros(n_nodes, dtype=bool)
-    taken[site_nodes] = True
-    covered = np.zeros(n_nodes, dtype=bool)
-    unserved = base_pop.astype(float)
-
-    def place(node: int) -> None:
-        """Cover the nodes within reach of ``node``; absorb up to ``capacity``
-        of their unserved population."""
-        within = np.abs(rows - rows[node]) + np.abs(cols - cols[node]) <= reach
-        covered[within] = True
-        total = unserved[within].sum()
-        if total > 0:
-            unserved[within] *= max(0.0, 1.0 - capacity / total)
-
-    for i in site_nodes:
-        place(i)
-    positive = base_pop > 0
-    for _ in range(n_candidate):
-        uncovered = positive & ~covered
-        if uncovered.any():
-            scores = reach_sums((base_pop * uncovered).astype(float))
-        else:
-            scores = reach_sums(unserved)
-        pick = int(np.argmax(np.where(taken, -np.inf, scores)))
-        taken[pick] = True
-        site_nodes.append(pick)
-        place(pick)
+    site_nodes += [pick for _, pick in _candidate_picks(
+        base_pop.reshape(grid_rows, grid_cols), site_nodes, n_candidate, reach, capacity)]
 
     site_width = max(3, len(str(max(n_existing + n_candidate - 1, 0))))
     sites = tuple(

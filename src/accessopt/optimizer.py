@@ -62,6 +62,9 @@ _GRAM_BLOCK = 4096
 
 @dataclass(frozen=True)
 class ObjectiveParams:
+    """The objective ``alpha * k + beta * sum((A_i - a_sigma)**2)`` over the
+    primary group's scores, and the groups that must reach ``a_sigma``."""
+
     alpha: float = 1.0
     beta: float = 1.0
     a_sigma: float = 0.135
@@ -103,6 +106,8 @@ class Layout:
 
 @dataclass(frozen=True)
 class Shortfall:
+    """A demand point of a constraint group that scores below ``a_sigma``."""
+
     demand_id: str
     group: str
     score: float
@@ -110,6 +115,8 @@ class Shortfall:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """A layout with its objective, scores, coverage, shortfalls and search trace."""
+
     layout: Layout
     objective: float
     feasible: bool

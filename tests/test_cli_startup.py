@@ -1,16 +1,19 @@
 """What a fresh command pays for before it works.
 
-``synth`` and ``score`` never import the search, and no command imports
-``numpy.random``: a command's process is checked after it exits.  The
-names the package and ``cli`` have always offered still resolve, and
-``solve`` and ``oracle`` call the optimizer through ``cli``'s attributes,
-where a wrapper set on the module is seen.
+``synth`` imports neither routing, scoring nor the search, ``score`` never
+imports the search, and no command imports ``numpy.random``: a command's
+process is checked after it exits.  The names the package and ``cli`` have
+always offered still resolve, and the commands call routing, scoring and
+the optimizer through ``cli``'s attributes, where a wrapper set on the
+module is seen.  Every public dataclass has a docstring of its own, so that
+``dataclass`` need not build one from its signature at import.
 The argument parser shares the config flags of its four commands through
 one parent parser; ``build_parser_per_command``, the construction it
 replaced, is the reference for every command's help and every flag.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -20,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import accessopt
-from accessopt import cli
+from accessopt import accessibility, cli, geodata, limits, optimizer, routing
 
 SRC = Path(accessopt.__file__).resolve().parent.parent
 
@@ -43,7 +46,8 @@ EXPORTS = (
 )
 
 # runs ``python -m accessopt ARGS`` in this process, then reports its exit
-# code and whether the search or ``numpy.random`` was ever imported
+# code and whether routing, scoring, the search or ``numpy.random`` was
+# ever imported
 RUN_MODULE = """
 import json, runpy, sys
 sys.argv = ["accessopt", *sys.argv[1:]]
@@ -52,7 +56,8 @@ try:
     code = 0
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"exit": code, "optimizer": "accessopt.optimizer" in sys.modules,
+print(json.dumps({"exit": code, **{name: f"accessopt.{name}" in sys.modules
+                                   for name in ("routing", "accessibility", "optimizer")},
                   "numpy_random": "numpy.random" in sys.modules}))
 """
 
@@ -66,21 +71,24 @@ def run_module(*args, cwd):
 
 
 def test_synth_and_score_never_import_the_optimizer(tmp_path):
+    """synth imports neither routing, scoring nor the search, and score does
+    not search; solve and oracle load all three."""
     synth = run_module("synth", "--seed", "2", "--grid-rows", "6", "--grid-cols", "6",
                        "--n-existing", "2", "--n-candidate", "4", "--out", "city",
                        cwd=tmp_path)
-    assert synth == {"exit": 0, "optimizer": False, "numpy_random": False}
+    assert synth == {"exit": 0, "routing": False, "accessibility": False,
+                     "optimizer": False, "numpy_random": False}
     assert (tmp_path / "city" / "sites.csv").is_file()
     score = run_module("score", "--config", "city/run.cfg", "--out", "scored",
                        "--dump-matrix", cwd=tmp_path)
-    assert score == {"exit": 0, "optimizer": False, "numpy_random": False}
+    assert score == {"exit": 0, "routing": True, "accessibility": True,
+                     "optimizer": False, "numpy_random": False}
     assert (tmp_path / "scored" / "layout.geojson").is_file()
-    solve = run_module("solve", "--config", "city/run.cfg", "--out", "plan", cwd=tmp_path)
-    assert solve["optimizer"] is True
-    assert solve["numpy_random"] is False
-    oracle = run_module("oracle", "--config", "city/run.cfg", "--out", "plan", cwd=tmp_path)
-    assert oracle["optimizer"] is True
-    assert oracle["numpy_random"] is False
+    for command in ("solve", "oracle"):
+        report = run_module(command, "--config", "city/run.cfg", "--out", "plan",
+                            cwd=tmp_path)
+        assert report["routing"] and report["accessibility"] and report["optimizer"]
+        assert report["numpy_random"] is False
 
 
 def test_every_export_resolves():
@@ -93,18 +101,25 @@ def test_every_export_resolves():
 
 
 def test_cli_attributes_resolve():
-    from accessopt import optimizer
     assert getattr(cli, "optimize") is optimizer.optimize
     assert getattr(cli, "exhaustive_oracle") is optimizer.exhaustive_oracle
+    assert getattr(cli, "ObjectiveParams") is optimizer.ObjectiveParams
+    for name in ("_check_bins", "accessibility_scores", "assign_bin", "coverage_report",
+                 "default_bins"):
+        assert getattr(cli, name) is getattr(accessibility, name), name
+    for name in ("build_travel_time_matrices", "write_matrix_csv"):
+        assert getattr(cli, name) is getattr(routing, name), name
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name  # noqa: B018
 
 
 def test_commands_call_through_cli_attributes(monkeypatch, tmp_path):
-    """A spy set on ``cli.optimize`` and ``cli.exhaustive_oracle`` sees the
-    calls of ``solve`` and ``oracle``, as ``perfbench/tracer.py`` needs."""
+    """A spy set on ``cli``'s routing, scoring and search names sees the
+    calls of ``score``, ``solve`` and ``oracle``, as ``perfbench/tracer.py``
+    needs."""
     calls = []
-    for name in ("optimize", "exhaustive_oracle"):
+    for name in ("build_travel_time_matrices", "accessibility_scores", "optimize",
+                 "exhaustive_oracle"):
         real = getattr(cli, name)
 
         def spy(*args, _real=real, _name=name, **kwargs):
@@ -115,10 +130,17 @@ def test_commands_call_through_cli_attributes(monkeypatch, tmp_path):
     argv = ["synth", "--seed", "1", "--grid-rows", "6", "--grid-cols", "6",
             "--n-existing", "2", "--n-candidate", "4", "--out", str(tmp_path / "c")]
     assert cli.main(argv) == 0
+    assert calls == []
     cfg = str(tmp_path / "c" / "run.cfg")
+    assert cli.main(["score", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    # one routing pass, then one score per group
+    assert calls == ["build_travel_time_matrices", "accessibility_scores",
+                     "accessibility_scores"]
+    calls.clear()
     assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "p")]) in (0, 3)
     assert cli.main(["oracle", "--config", cfg, "--out", str(tmp_path / "p")]) in (0, 3)
-    assert calls == ["optimize", "exhaustive_oracle"]
+    assert [c for c in calls if c in ("optimize", "exhaustive_oracle")] == \
+        ["optimize", "exhaustive_oracle"]
 
 
 def build_parser_per_command() -> argparse.ArgumentParser:
@@ -196,3 +218,18 @@ def test_refusals_unchanged(argv, capsys):
             parser.parse_args(argv)
         messages.append((info.value.code, capsys.readouterr().err))
     assert messages[0] == messages[1]
+
+
+def test_every_public_dataclass_has_its_own_docstring():
+    """``dataclass`` builds a missing docstring from the class's signature,
+    which costs ``inspect.signature`` at every import."""
+    checked = []
+    for module in (geodata, limits, routing, accessibility, optimizer, cli):
+        for name, value in vars(module).items():
+            if (isinstance(value, type) and dataclasses.is_dataclass(value)
+                    and value.__module__ == module.__name__ and not name.startswith("_")):
+                doc = value.__dict__.get("__doc__")
+                assert doc and not doc.startswith(f"{name}("), f"{module.__name__}.{name}"
+                checked.append(name)
+    assert {"Edge", "DemandPoint", "FacilitySite", "CoverageBin", "CoverageReport",
+            "RunConfig", "ObjectiveParams", "Shortfall", "OptimizationResult"} <= set(checked)

@@ -16,6 +16,11 @@ phase-2 pick of the product won by more than a rounding margin.  Otherwise
 it must make the same picks up to the first pick that did not: there the
 leading sums are within rounding of each other, and the BLAS kernel's
 rounding may pick another node than the stencil's order does.
+
+``full_stencil_picks`` is the stencil's placement as it was before a step
+rescored only the rows the last pick reaches: every step scores every node
+with the whole stencil.  The generator must pick the same sites on every
+city, and at every step hold a ``sums`` of the same bits.
 """
 
 import functools
@@ -42,6 +47,7 @@ from accessopt.geodata import (
     PopulationGroup,
     RoadNetwork,
     Scenario,
+    _candidate_picks,
     generate_synthetic_scenario,
     write_scenario_bundle,
 )
@@ -332,3 +338,141 @@ def test_at_least_sixty_cities_match_the_product_byte_for_byte(tmp_path):
     )
     assert matched >= 60
 
+
+
+def full_stencil_picks(base_pop, existing, n_candidate, reach, capacity):
+    """Yield ``(sums, pick, phase)`` for each step of the placement, every
+    step scoring every node with the whole stencil; ``sums`` is a copy."""
+    grid_rows, grid_cols = base_pop.shape
+    n_nodes = base_pop.size
+    base_pop = base_pop.ravel()
+    rows, cols = np.divmod(np.arange(n_nodes), grid_cols)
+    grid = np.zeros((grid_rows, grid_cols))
+    sums = np.zeros((grid_rows, grid_cols))
+    dr_max = min(reach, grid_rows - 1)
+    stencil = [
+        (sums[max(0, -dr):grid_rows - max(0, dr), max(0, -dc):grid_cols - max(0, dc)],
+         grid[max(0, dr):grid_rows - max(0, -dr), max(0, dc):grid_cols - max(0, -dc)])
+        for dr in range(-dr_max, dr_max + 1)
+        for dc in range(-min(reach - abs(dr), grid_cols - 1),
+                        min(reach - abs(dr), grid_cols - 1) + 1)
+    ]
+
+    def reach_sums(values):
+        grid[...] = values.reshape(grid_rows, grid_cols)
+        sums.fill(0.0)
+        for target, source in stencil:
+            target += source
+        return sums.ravel()
+
+    taken = np.zeros(n_nodes, dtype=bool)
+    taken[list(existing)] = True
+    covered = np.zeros(n_nodes, dtype=bool)
+    unserved = base_pop.astype(float)
+
+    def place(node):
+        within = np.abs(rows - rows[node]) + np.abs(cols - cols[node]) <= reach
+        covered[within] = True
+        total = unserved[within].sum()
+        if total > 0:
+            unserved[within] *= max(0.0, 1.0 - capacity / total)
+
+    for i in existing:
+        place(i)
+    positive = base_pop > 0
+    for _ in range(n_candidate):
+        uncovered = positive & ~covered
+        if uncovered.any():
+            scores, phase = reach_sums((base_pop * uncovered).astype(float)), 1
+        else:
+            scores, phase = reach_sums(unserved), 2
+        pick = int(np.argmax(np.where(taken, -np.inf, scores)))
+        yield sums.copy(), pick, phase
+        taken[pick] = True
+        place(pick)
+
+
+def placement_cities(n):
+    """Random cities for the placement: from 2x2 to 24x24, reach from 1 to
+    past the grid's span, with and without existing sites, populated
+    sparsely, densely or not at all, and some with a site on every node."""
+    rng = random.Random(20261020)
+    out = []
+    for seed in range(n):
+        rows, cols = rng.randint(2, 24), rng.randint(2, 24)
+        span = rows + cols - 2
+        reach = rng.choice([1, 1, 2, 3, 3, 4, 6, rng.randint(1, span), span, span + 7])
+        n_nodes = rows * cols
+        if reach > 6:  # the whole-stencil oracle costs up to 4 N offsets a step
+            rows, cols = min(rows, 14), min(cols, 14)
+            n_nodes = rows * cols
+        existing = 0 if rng.random() < 0.3 else rng.randint(1, max(1, n_nodes // 6))
+        if rng.random() < 0.2 and n_nodes <= 150:
+            candidates = n_nodes - existing
+        else:
+            candidates = rng.randint(1, max(1, min(n_nodes - existing, 120)))
+        kw = dict(spacing_m=spacing_for_reach(reach),
+                  population_scale=rng.choice([1.0, 1.0, 0.3, 0.003, 0.0]),
+                  capacity=rng.choice([DEFAULT_CAPACITY, DEFAULT_CAPACITY, 150.0, 1e7]))
+        out.append(city(seed, rows, cols, existing, candidates, **kw))
+    return out
+
+
+PLACEMENT_CITIES = placement_cities(120)
+
+
+@functools.cache
+def placement(index):
+    """(the city's scenario, its base population grid, its sites' nodes)."""
+    c = dict(PLACEMENT_CITIES[index])
+    scenario = generate_synthetic_scenario(c.pop("seed"), **c)
+    node = {loc: i for i, loc in enumerate(scenario.network.nodes.values())}
+    base_pop = np.array([d.pop_of(scenario.groups[0].name) for d in scenario.demands])
+    return (scenario, base_pop.reshape(c["grid_rows"], c["grid_cols"]),
+            [node[s.location] for s in scenario.sites])
+
+
+@functools.cache
+def full_stencil(index):
+    c = PLACEMENT_CITIES[index]
+    _, base_pop, nodes = placement(index)
+    return list(full_stencil_picks(base_pop, nodes[:c["n_existing"]], c["n_candidate"],
+                                   reach_of(c), c["capacity"]))
+
+
+@pytest.mark.parametrize("index", range(len(PLACEMENT_CITIES)),
+                         ids=[city_id(c) + f"-cap{c['capacity']:g}" for c in PLACEMENT_CITIES])
+def test_rescoring_the_rows_a_pick_reaches_keeps_every_bit(index):
+    c = PLACEMENT_CITIES[index]
+    _, base_pop, nodes = placement(index)
+    expected = full_stencil(index)
+    got = [(sums.copy(), pick) for sums, pick in _candidate_picks(
+        base_pop, nodes[:c["n_existing"]], c["n_candidate"], reach_of(c), c["capacity"])]
+    assert [pick for _, pick in got] == [pick for _, pick, _ in expected] == \
+        nodes[c["n_existing"]:]
+    for step, ((sums, _), (want, _, _)) in enumerate(zip(got, expected)):
+        assert sums.tobytes() == want.tobytes(), f"step {step}"
+
+
+def test_placement_cities_cover_the_edge_cases():
+    def has(pred):
+        return any(pred(i, c) for i, c in enumerate(PLACEMENT_CITIES))
+
+    def phases(i):
+        return [phase for _, _, phase in full_stencil(i)]
+
+    span = [c["grid_rows"] + c["grid_cols"] - 2 for c in PLACEMENT_CITIES]
+    assert has(lambda i, c: reach_of(c) == 1)
+    assert has(lambda i, c: reach_of(c) == span[i])
+    assert has(lambda i, c: reach_of(c) > span[i])
+    assert has(lambda i, c: c["n_existing"] == 0)
+    assert has(lambda i, c: c["n_existing"] + c["n_candidate"]
+               == c["grid_rows"] * c["grid_cols"])
+    # the phase turns on the first step, or on a later one
+    assert has(lambda i, c: c["n_existing"] > 0 and c["population_scale"] > 0
+               and phases(i)[0] == 2)
+    assert has(lambda i, c: phases(i)[0] == 1 and phases(i)[-1] == 2)
+    assert has(lambda i, c: set(phases(i)) == {1})
+    # some populated nodes hold no one, and some cities no one at all
+    assert has(lambda i, c: 0 < np.count_nonzero(placement(i)[1]) < placement(i)[1].size)
+    assert has(lambda i, c: not placement(i)[1].any())
