@@ -135,9 +135,10 @@ def parse_groups(raw: str) -> tuple[PopulationGroup, ...]:
             raise ValidationError(
                 f"bad group spec {item.strip()!r} (expected name:speed:max_walk)"
             )
-        if "/" in parts[0]:
-            raise ValidationError(
-                f"group name {parts[0]!r} must not hold '/': it names output files")
+        for bad in "/\0":
+            if bad in parts[0]:
+                raise ValidationError(
+                    f"group name {parts[0]!r} must not hold {bad!r}: it names output files")
         if len(f"coverage_{parts[0]}_before.json".encode("utf-8", "replace")) > 255:
             raise ValidationError(f"group name {parts[0]!r} is too long: output file "
                                   "coverage_<name>_before.json must fit in 255 bytes")
@@ -247,15 +248,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _coverage_payload(report: CoverageReport) -> list:
-    return [
-        {
-            "label": b.label,
-            "lower_bound": b.lower_bound,
-            "population": b.population,
-            "share": b.share,
-        }
-        for b in report.bins
-    ]
+    return [dataclasses.asdict(b) for b in report.bins]
 
 
 def _result_payload(result: OptimizationResult) -> dict:
@@ -264,10 +257,7 @@ def _result_payload(result: OptimizationResult) -> dict:
         "k": result.layout.k,
         "objective": result.objective,
         "feasible": result.feasible,
-        "shortfalls": [
-            {"demand_id": s.demand_id, "group": s.group, "score": s.score}
-            for s in result.shortfalls
-        ],
+        "shortfalls": [dataclasses.asdict(s) for s in result.shortfalls],
         "coverage": {
             name: _coverage_payload(report)
             for name, report in result.coverage.items()

@@ -159,8 +159,24 @@ class _Evaluator:
     it is the canonical value on which every search decision is made, and
     ``evaluate_block`` gives each of a block of layouts the same bits.
     ``_MoveBlock``, ``_drop_swap_bounds`` and ``_open_bounds`` bound it from
-    fields or sums that are not canonical, within the rounding bounds
-    ``field_tol`` and ``sum_tol``.
+    fields or sums that are not canonical, through one rounding model.
+
+    Every entry of W is >= 0, so a sum of n entries in any order is off by
+    at most n unit roundoffs times its value (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2002, §4.2).  Two sums of one
+    field of at most S rows, in any orders, gamma applied to the sum or to
+    each term, thus differ per demand point by at most ``field_err(F)``,
+    where F bounds the field: ``field_tol * F`` is twice the worst case of
+    both together, the spare half absorbing the rounding of the bound
+    itself and up to S further roundoffs of the sums it carries, and
+    ``_TINY`` the absolute error of results that underflow.  The objective
+    and the shortfall are sums of at most D squares and a term per group,
+    so each order is within ``sum_tol / 4`` of the exact sum, relative to
+    it, and ``sum_floor`` of one order's sum, which gives up ``sum_tol``
+    and ``_TINY``, is below every order's.  As rounding is monotone, such
+    a sum is also at least its ``least`` term exactly.  A score below
+    ``floor`` is short.  All of this assumes finite inputs, which
+    ObjectiveParams and the parsers enforce.
     """
 
     def __init__(self, scenario: Scenario, matrices, params: ObjectiveParams):
@@ -180,6 +196,7 @@ class _Evaluator:
         self.n_demands = len(scenario.demands)
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
         self.sum_tol = 2 * (self.n_demands + len(self.catchments) + 16) * _EPS
+        self.floor = params.a_sigma - FEASIBILITY_TOL
         # each populated point of a constraint group adds at most a_sigma^2
         points = sum(int(np.count_nonzero(self.pos_mask[g]))
                      for g in params.constraint_groups)
@@ -197,6 +214,15 @@ class _Evaluator:
                 f"the objective can overflow: alpha * {len(self.candidate_ids)} + "
                 "beta * (squared deviations with every site open) is not finite "
                 f"(alpha {params.alpha:g}, beta {params.beta:g}, gamma {params.gamma:g})")
+
+    def field_err(self, F):
+        """The most that rounding moves a field whose value is at most F."""
+        return self.field_tol * F + _TINY
+
+    def sum_floor(self, total, least=-math.inf):
+        """A certain floor, not below ``least``, under a canonical sum of
+        squares that some order of summation gives as ``total``."""
+        return np.fmax(total * (1.0 - self.sum_tol) - _TINY, least)
 
     def open_indices(self, open_candidates) -> np.ndarray:
         """The layout's open sites, existing ones included, as a (1, k) row."""
@@ -264,7 +290,7 @@ class _Evaluator:
         shortfall = 0.0
         for g in p.constraint_groups:
             scores = fields[g].compress(self.pos_mask[g], axis=1)
-            feasible &= ~np.any(scores < p.a_sigma - FEASIBILITY_TOL, axis=-1)
+            feasible &= ~np.any(scores < self.floor, axis=-1)
             shortfall = shortfall + np.sum(np.maximum(0.0, p.a_sigma - scores) ** 2,
                                            axis=-1)
         return objective, feasible, shortfall
@@ -279,11 +305,10 @@ class _Evaluator:
         p = self.params
         fields = self.fields(open_candidates)
         ids = self.scenario.demand_ids
-        floor = p.a_sigma - FEASIBILITY_TOL
         return tuple(
             Shortfall(ids[i], g, float(fields[g][i]))
             for g in p.constraint_groups
-            for i in np.flatnonzero(self.pos_mask[g] & (fields[g] < floor))
+            for i in np.flatnonzero(self.pos_mask[g] & (fields[g] < self.floor))
         )
 
 
@@ -294,27 +319,16 @@ class _MoveBlock:
     ``fields[g] + added[q]`` and ``fields[g] + added_high[g][q]``: a node's
     fields, summed row by row, plus the row of ``gamma * W`` of the child
     it opens (of the primary group, the only lower field read) and the
-    sum of the rows that the child's subtree may add.
-
-    Every entry of W is >= 0, so a sum of n entries in any order is off by
-    at most n unit roundoffs times its value.  A bound's field and the
-    canonical field of the same layout therefore differ by at most
-    ``field_tol * (F + added_high)`` per demand point, which is twice the
-    worst case of both sides together; the spare half absorbs the rounding
-    of the bounds themselves, and the at most S further roundoffs of a
-    node's field and of ``added_high``.  The objective and the shortfall
-    are sums of at most D squares, so their lower bounds give up the
-    relative slack ``sum_tol``, whatever the order of the sum; the
-    objective is also at least ``alpha * k`` exactly, as rounding is
-    monotone.  All of this assumes finite inputs, which ObjectiveParams
-    and the parsers enforce.
+    sum of the rows that the child's subtree may add.  Each field is
+    widened by ``field_err(F + added_high)``, and each sum of squares
+    floored by ``sum_floor``; the objective is at least ``alpha * k``.
     """
 
     def __init__(self, ev: _Evaluator, fields, added, added_high):
         self.ev = ev
         self.high = {}
         for g, high in added_high.items():
-            err = ev.field_tol * (fields[g] + high) + _TINY
+            err = ev.field_err(fields[g] + high)
             self.high[g] = fields[g] + (high + err)
             if g == ev.params.primary_group:
                 self.low = fields[g] + (added - err)
@@ -327,9 +341,8 @@ class _MoveBlock:
         np.maximum(gap, above, out=gap)
         np.maximum(gap, 0.0, out=gap)
         squares = np.einsum("ij,ij->i", gap, gap)
-        floor = p.alpha * n_open
-        return np.maximum((floor + p.beta * squares) * (1.0 - self.ev.sum_tol) - _TINY,
-                          floor)
+        least = p.alpha * n_open
+        return self.ev.sum_floor(least + p.beta * squares, least)
 
     def shortfall(self) -> np.ndarray:
         """Lower bounds on the total squared shortfall."""
@@ -340,15 +353,13 @@ class _MoveBlock:
             np.maximum(below, 0.0, out=below)
             below *= self.ev.pos_mask[g]
             total = total + np.einsum("ij,ij->i", below, below)
-        return total * (1.0 - self.ev.sum_tol) - _TINY
+        return self.ev.sum_floor(total)
 
     def maybe_feasible(self) -> np.ndarray:
         """False where every layout of the row is certainly infeasible."""
-        p = self.ev.params
-        floor = p.a_sigma - FEASIBILITY_TOL
         result = True
-        for g in p.constraint_groups:
-            below = (self.high[g] < floor) & self.ev.pos_mask[g]
+        for g in self.ev.params.constraint_groups:
+            below = (self.high[g] < self.ev.floor) & self.ev.pos_mask[g]
             result = result & ~below.any(axis=1)
         return result
 
@@ -382,13 +393,12 @@ def _open_bounds(ev: _Evaluator, open_ids, shortfall: float) -> np.ndarray:
     A is ``open_ids``, of canonical shortfall ``shortfall``; open candidates'
     bounds mean nothing.  Where c adds nothing, A + c has the field F of A
     bit for bit.  Where it adds v, its field is at most hi = (F + v) +
-    field_tol (F + v) + tiny, as in ``_MoveBlock``; tiny keeps that true
-    where fields underflow, though a_sigma - field rounds alike there.  As
-    h = max(0, a_sigma - field)^2 does not rise with the field, s(A + c) is
-    s(A) less at most the cut, the sum of h(F) - h(hi) where c adds, but for
-    rounding: each of the three sums is within sum_tol / 4 of its exact
-    value, and none is above s(A) by more, so sum_tol * s(A) covers them,
-    the differences and the bound.  Below the normal range all is exact.
+    field_err(F + v).  As h = max(0, a_sigma - field)^2 does not rise with
+    the field, s(A + c) is s(A) less at most the cut, the sum of h(F) -
+    h(hi) where c adds, but for rounding: each of the three sums is within
+    sum_tol / 4 of its exact value, and none is above s(A) by more, so
+    sum_tol * s(A) covers them, the differences and the bound.  Below the
+    normal range all is exact.
     """
     p = ev.params
     fields = ev.fields(open_ids)
@@ -399,7 +409,7 @@ def _open_bounds(ev: _Evaluator, open_ids, shortfall: float) -> np.ndarray:
         take = (ev.pos_mask[g] & (h > 0.0))[t.site]
         points = t.site[take]
         high = F[points] + t.values[take]
-        high += ev.field_tol * high + _TINY
+        high += ev.field_err(high)
         cut += np.bincount(t.demand[take], h[points] - np.maximum(0.0, p.a_sigma - high) ** 2,
                            minlength=len(cut))
     return shortfall - cut - ev.sum_tol * shortfall
@@ -479,26 +489,25 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     n_cand, n_outs, width = len(is_open), len(outs), 1 + len(shut)
     row_of, col_of = np.cumsum(is_open) - 1, np.cumsum(~is_open)
     fields = ev.fields(current)
-    floor = p.a_sigma - FEASIBILITY_TOL
     deficits, keys = np.zeros(n_outs, dtype=np.intp), []
     for g in p.constraint_groups:
         F, pos, t = fields[g], ev.pos_mask[g], ev.by_demand[g]
         # (row, point, F - o) for the points of each closing row; with n = 0
-        # the field bound is field_tol * F.  F - o rounds no lower for a lower
+        # the field bound is field_err(F).  F - o rounds no lower for a lower
         # o, so only the points that their largest entry may leave short count
-        err = ev.field_tol * F + _TINY
-        at, _ = t.entries(np.flatnonzero(((F - ev.peaks[g]) + err < floor) & pos))
+        err = ev.field_err(F)
+        at, _ = t.entries(np.flatnonzero(((F - ev.peaks[g]) + err < ev.floor) & pos))
         at = at[is_open[t.demand[at]]]
         rows, points = row_of[t.demand[at]], t.site[at]
         base = F[points] - t.values[at]
-        deficit = base + err[points] < floor
+        deficit = base + err[points] < ev.floor
         rows, points, base = rows[deficit], points[deficit], base[deficit]
         deficits += np.bincount(rows, minlength=n_outs)
         # each deficit against every closed candidate that reaches its point
         at, which = t.entries(points)
         n = t.values[at]
-        raised = n + (ev.field_tol * (F[points[which]] + n) + _TINY)
-        lifts = ~(base[which] + raised < floor) & ~is_open[t.demand[at]]
+        raised = n + ev.field_err(F[points[which]] + n)
+        lifts = ~(base[which] + raised < ev.floor) & ~is_open[t.demand[at]]
         keys.append(rows[which[lifts]] * width + col_of[t.demand[at[lifts]]])
     # each move of a row without deficits once, each swap once a lift: keep
     # the moves listed max(1, deficits) times
@@ -532,10 +541,8 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     field_err = (axF + oF) + (nF + nn + nax) + on
     slack = ev.sum_tol * norm + 2 * ev.field_tol * field_err
     least = p.alpha * (n_outs - (cols == 0))
-    # fmax: where a sum overflowed (inf - inf) only alpha * k remains
-    objective_lo = np.fmax((least + p.beta * (squares - slack)) * (1.0 - ev.sum_tol)
-                           - _TINY, least)
-    return outs, closed, rows, cols, objective_lo
+    # where a sum overflowed (inf - inf) only alpha * k remains
+    return outs, closed, rows, cols, ev.sum_floor(least + p.beta * (squares - slack), least)
 
 
 def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
@@ -765,9 +772,7 @@ def exhaustive_oracle(
     subtree's fields lie between those of its least and its fullest
     layout, which ``_MoveBlock`` turns into certain lower bounds on the
     objective and the shortfall, and a certain verdict on subtrees that
-    must be infeasible, with slack for rounding.  The objective is also at
-    least ``alpha * k`` exactly, since rounding is monotone and the beta
-    term is >= 0.  A subtree is pruned only when its bound exceeds the
+    must be infeasible.  A subtree is pruned only when its bound exceeds the
     incumbent's objective, or equals it with more sites than the
     incumbent, so every exact tie reaches its key comparison.  Layouts are
     scored only by ``_Evaluator.evaluate_block``, so the result has the

@@ -432,8 +432,8 @@ def build_travel_time_matrix(
     """
     sites = scenario.sites if sites is None else sites
     if dist_m is None:
-        limit_m = max(g.max_walk_m for g in (*scenario.groups, group))
-        dist_m = _distances(scenario, limit_m, include_snap_distance, snap_warn_m, sites)
+        dist_m = _distances(scenario, group.max_walk_m, include_snap_distance,
+                            snap_warn_m, sites)
     elif not isinstance(dist_m, SiteMajor):
         dist_m = SiteMajor.from_dense(np.asarray(dist_m, dtype=float))
     keep = dist_m.values <= group.max_walk_m

@@ -363,6 +363,14 @@ class TestGroupNameWithSlash:
         assert not out.exists()
 
 
+class TestGroupNameWithNul(TestGroupNameWithSlash):
+    """A group name holding a NUL byte, which no file name can hold, is
+    refused as the name holding '/' is."""
+
+    GROUPS = "general:80:700,el\0derly:70:700"
+    MESSAGE = "group name 'el\\x00derly' must not hold '\\x00': it names output files\n"
+
+
 class TestLongGroupName(TestGroupNameWithSlash):
     """A group name whose output file names pass 255 bytes, counted in UTF-8,
     is refused as the name holding '/' is."""

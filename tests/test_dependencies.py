@@ -2,7 +2,8 @@
 
 Other packages (scipy among them) may be installed where the tests run, so
 an import of one would pass every other test and fail only on a clean
-install of the declared dependencies.
+install of the declared dependencies.  Every file must also parse under the
+oldest Python that the package declares.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 import accessopt
 
 SOURCES = sorted(Path(accessopt.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_modules(path):
@@ -35,3 +37,11 @@ def test_runtime_imports_are_stdlib_or_numpy(path):
 
 def test_every_module_is_checked():
     assert {p.name for p in SOURCES} >= {"cli.py", "optimizer.py", "routing.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_python_3_10_grammar(path):
+    """Every source and test file parses under the grammar of Python 3.10,
+    the oldest version ``requires-python`` admits.  This checks grammar
+    only: a library function or argument new in a later version passes."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
