@@ -145,7 +145,9 @@ class _Catchment:
             # which changes no sum
             row[:] = np.bincount(self.W.demand[take], self.W.values[take],
                                  minlength=len(row))
-        return gamma * out
+        # a huge gamma may overflow to inf, which every caller refuses
+        with np.errstate(over="ignore"):
+            return gamma * out
 
     def scores(self, open_idx: np.ndarray, gamma: float) -> AccessibilityField:
         """The field of the one layout of a (1, k) ``open_idx``, by demand id."""

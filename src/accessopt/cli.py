@@ -5,9 +5,9 @@ outputs land in one user-named directory with stable bytes so runs diff
 cleanly.  Exit codes: 0 success/feasible, 2 input error, 3 infeasible,
 4 candidate pool too large for the oracle.
 
-Each command imports only the modules it runs (see ``_load``): ``synth``
-neither routes, scores nor searches, ``score`` loads ``routing`` and
-``accessibility``, and ``solve`` and ``oracle`` load the search as well.
+Each command imports only the modules it runs: ``synth`` neither routes,
+scores nor searches, ``score`` loads ``routing`` and ``accessibility``, and
+``solve`` and ``oracle`` load the search as well.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ if TYPE_CHECKING:
     from .optimizer import ObjectiveParams, OptimizationResult
 
 # The names this module calls from the modules only some commands run, and
-# their module.  They become globals here on first use, through ``_load`` or
-# as module attributes (PEP 562), and the commands call them by their global
-# names, so a wrapper set on this module (``perfbench/tracer.py`` sets some)
-# is what runs.
+# their module.  The commands read them as attributes of this module, ``_cli``,
+# whose ``__getattr__`` (PEP 562) imports and binds each on its first read, so
+# a wrapper set on this module (``perfbench/tracer.py`` sets some) is what runs.
 _LAZY = {
     **dict.fromkeys(("_check_bins", "accessibility_scores", "assign_bin",
                      "coverage_report", "default_bins"), "accessibility"),
@@ -65,22 +64,15 @@ _LAZY = {
 _MODULES = {"synth": (), "score": ("routing", "accessibility"),
             "solve": ("routing", "accessibility", "optimizer"),
             "oracle": ("routing", "accessibility", "optimizer")}
-
-
-def _load(*modules: str) -> None:
-    """Import ``modules`` and bind each of their ``_LAZY`` names not yet bound."""
-    for module in modules:
-        imported = import_module(f".{module}", __package__)
-        for name, home in _LAZY.items():
-            if home == module:
-                globals().setdefault(name, getattr(imported, name))
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
     if name in _LAZY:
-        _load(_LAZY[name])
+        globals()[name] = getattr(import_module(f".{_LAZY[name]}", __package__), name)
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -302,7 +294,7 @@ def _feature_template(keys) -> str:
             f'      "properties": {{\n{props}\n      }}\n    }}')
 
 
-_GEOJSON_BATCH = 512  # features formatted, then written, at a time
+_GEOJSON_BATCH = 128  # features formatted, then written, at a time
 
 
 def _write_geojson(path: Path, scenario: Scenario, open_ids, fields, bin_spec) -> None:
@@ -335,7 +327,7 @@ def _write_geojson(path: Path, scenario: Scenario, open_ids, fields, bin_spec) -
         for name, field in fields.items():
             scores = [field.scores[d.demand_id] for d in demands]
             columns += (_json_leaves(scores),
-                        [labels[assign_bin(bounds, score)] for score in scores],
+                        [labels[_cli.assign_bin(bounds, score)] for score in scores],
                         _json_leaves([d.pop_of(name) for d in demands]))
         return ",\n".join(map(demand.__mod__, zip(*columns)))
 
@@ -379,7 +371,7 @@ def _bin_spec(cfg: RunConfig):
     if cfg.bins is None:
         if cfg.bin_labels is not None:
             raise ValidationError("bin_labels given without bins")
-        spec = default_bins(cfg.a_sigma)
+        spec = _cli.default_bins(cfg.a_sigma)
     else:
         labels = cfg.bin_labels
         if labels is None:
@@ -387,7 +379,7 @@ def _bin_spec(cfg: RunConfig):
         if len(labels) != len(cfg.bins):
             raise ValidationError("bins and bin_labels must have the same length")
         spec = zip(labels, cfg.bins)
-    return _check_bins(spec)
+    return _cli._check_bins(spec)
 
 
 def _prepare(cfg: RunConfig, existing_only: bool = False):
@@ -406,7 +398,7 @@ def _prepare(cfg: RunConfig, existing_only: bool = False):
             raise ValidationError(f"no {key} file configured (set '{key}' or 'bundle')")
     scenario = load_scenario(*paths, groups=cfg.groups, default_capacity=cfg.capacity)
     sites = [s for s in scenario.sites if s.existing] if existing_only else None
-    matrices = build_travel_time_matrices(
+    matrices = _cli.build_travel_time_matrices(
         scenario, include_snap_distance=cfg.include_snap, snap_warn_m=cfg.snap_warn_m,
         sites=sites,
     )
@@ -419,7 +411,7 @@ def _params(cfg: RunConfig) -> ObjectiveParams:
     for name in (cfg.primary_group, *cfg.constraint_groups):
         if name not in names:
             raise ValidationError(f"unknown group '{name}'")
-    return ObjectiveParams(
+    return _cli.ObjectiveParams(
         alpha=cfg.alpha,
         beta=cfg.beta,
         a_sigma=cfg.a_sigma,
@@ -432,7 +424,7 @@ def _params(cfg: RunConfig) -> ObjectiveParams:
 def _dump_matrices(out: Path, matrices, cfg: RunConfig) -> None:
     if cfg.dump_matrix:
         for name, matrix in matrices.items():
-            write_matrix_csv(matrix, out / f"travel_times_{name}.csv")
+            _cli.write_matrix_csv(matrix, out / f"travel_times_{name}.csv")
 
 
 _CONFIG_ECHO_KEYS = tuple(
@@ -484,14 +476,13 @@ def _score_groups(scenario: Scenario, matrices, open_ids, gamma: float, bin_spec
     """Every group's accessibility field and coverage report for one layout."""
     fields, coverage = {}, {}
     for g in scenario.groups:
-        field = accessibility_scores(scenario, matrices[g.name], open_ids, gamma)
+        field = _cli.accessibility_scores(scenario, matrices[g.name], open_ids, gamma)
         fields[g.name] = field
-        coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
+        coverage[g.name] = _cli.coverage_report(field, scenario.demands, bin_spec)
     return fields, coverage
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    _load(*_MODULES["score"])
     bin_spec = _bin_spec(cfg)
     # the dumped matrices list every site; the scores need the existing ones only
     scenario, matrices, out = _prepare(cfg, existing_only=not cfg.dump_matrix)
@@ -505,13 +496,12 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    _load(*_MODULES["solve"])
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     check_budget(cfg.budget)
     scenario, matrices, out = _prepare(cfg)
 
-    result = optimize(scenario, matrices, params, budget=cfg.budget, bins=bin_spec)
+    result = _cli.optimize(scenario, matrices, params, budget=cfg.budget, bins=bin_spec)
     baseline_open = set(scenario.existing_site_ids)
     _, before = _score_groups(scenario, matrices, baseline_open, cfg.gamma, bin_spec)
     out.mkdir(parents=True, exist_ok=True)
@@ -527,14 +517,13 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_oracle(cfg: RunConfig) -> int:
-    _load(*_MODULES["oracle"])
     params = _params(cfg)
     bin_spec = _bin_spec(cfg)
     check_max_pool(cfg.max_pool)
     heuristic = _heuristic_objective(Path(cfg.out) / "result.json")
     scenario, matrices, out = _prepare(cfg)
-    result = exhaustive_oracle(scenario, matrices, params,
-                               max_pool=cfg.max_pool, bins=bin_spec)
+    result = _cli.exhaustive_oracle(scenario, matrices, params,
+                                    max_pool=cfg.max_pool, bins=bin_spec)
     payload = {"oracle": True, **_result_payload(result)}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "result_oracle.json", payload)
@@ -613,7 +602,8 @@ def main(argv=None) -> int:
     # the other order, solve's peak RSS read 0.2 MB higher (where the heap's
     # blocks fall, not memory held)
     if argv and argv[0] in _MODULES:
-        _load(*_MODULES[argv[0]])
+        for module in _MODULES[argv[0]]:
+            import_module(f".{module}", __package__)
     args = _build_parser().parse_args(argv)
     try:
         cfg = build_config(args)

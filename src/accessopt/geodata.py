@@ -767,7 +767,14 @@ def generate_synthetic_scenario(
         d2 = (rows - blob_r[b]) ** 2 + (cols - blob_c[b]) ** 2
         density = density + blob_amp[b] * np.exp(-d2 / (2 * blob_sigma[b] ** 2))
     noise = rng.uniform(0.7, 1.3, size=n_nodes)
-    base_pop = np.rint(density * noise * _POP_FACTOR * population_scale).astype(int)
+    with np.errstate(over="ignore"):
+        base_pop = np.rint(density * noise * _POP_FACTOR * population_scale)
+    # under 2**63 every count fits int64 (the built-in max: numpy's first
+    # ``max`` raised synth's peak RSS 0.08-0.1 MB)
+    if not max(base_pop) < 2.0**63:
+        raise ValidationError(f"population_scale {_shown(population_scale)} is too large: "
+                              "a node's population would reach 2**63")
+    base_pop = base_pop.astype(int)
 
     group_pops = [base_pop]
     for _ in groups[1:]:

@@ -1,10 +1,15 @@
 import codecs
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import accessopt
 from accessopt import cli
 from accessopt.cli import (
     _build_parser,
@@ -21,6 +26,8 @@ SMALL_SYNTH = [
     "synth", "--grid-rows", "8", "--grid-cols", "8", "--n-existing", "3",
     "--n-candidate", "8", "--seed", "3",
 ]
+
+SRC = Path(accessopt.__file__).resolve().parent.parent
 
 
 def synth_small(out):
@@ -686,6 +693,10 @@ class TestRefusedAtBoundary:
 
     @pytest.mark.parametrize("line,message", [
         ("population_scale = -1", "population_scale must be finite and >= 0"),
+        # populations past int64, and (1.7e308) a product that overflows to inf
+        ("population_scale = 1e300", "population_scale 1e+300 is too large: a node's "
+                                     "population would reach 2**63"),
+        ("population_scale = 1.7e308", "population_scale 1.7e+308 is too large"),
         ("spacing_m = -5", "spacing_m must be finite and > 0"),
     ])
     def test_synth_arguments_from_config(self, tmp_path, capsys, line, message):
@@ -695,3 +706,57 @@ class TestRefusedAtBoundary:
         assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,message", [
+        ("score", "accessibility score of 'd0278' must be finite and non-negative, got inf"),
+        ("solve", "the objective can overflow"),
+    ])
+    def test_gamma_whose_scores_overflow(self, tmp_path, capsys, command, message):
+        # a finite gamma times a score of the seed-7 city overflows to inf:
+        # refused as before, with no RuntimeWarning on the way
+        assert main(["synth", "--seed", "7", "--out", str(tmp_path / "district")]) == 0
+        out = tmp_path / "run"
+        assert main([command, "--config", str(tmp_path / "district" / "run.cfg"),
+                     "--gamma", "1e308", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+# calls two of cli's helpers in a fresh interpreter, without ``main``
+HELPERS_WITHOUT_MAIN = """
+import json, sys
+from pathlib import Path
+from types import SimpleNamespace
+from accessopt import cli
+from accessopt.geodata import generate_synthetic_scenario
+if sys.argv[1] == "bins":
+    print(json.dumps(cli._bin_spec(cli.RunConfig())))
+else:
+    scenario = generate_synthetic_scenario(1, grid_rows=3, grid_cols=3, n_existing=1,
+                                           n_candidate=1)
+    scores = {d.demand_id: 0.5 * i for i, d in enumerate(scenario.demands)}
+    fields = {"general": SimpleNamespace(scores=scores)}
+    cli._write_geojson(Path(sys.argv[2]), scenario, set(), fields,
+                       [("low", 0.0), ("high", 1.0)])
+"""
+
+
+def test_helpers_run_without_main(tmp_path):
+    """A helper of ``cli`` finds the names it reads from ``accessibility``
+    in a process where no command ran."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+    def helper(*args):
+        done = subprocess.run([sys.executable, "-c", HELPERS_WITHOUT_MAIN, *args],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert json.loads(helper("bins")) == [[label, lower] for label, lower
+                                          in cli._bin_spec(cli.RunConfig())]
+    helper("geojson", str(tmp_path / "layout.geojson"))
+    features = json.loads((tmp_path / "layout.geojson").read_text())["features"]
+    assert len(features) == 2 + 9
+    assert [f["properties"]["bin_general"] for f in features[2:]] == \
+        ["low", "low", "high", "high", "high", "high", "high", "high", "high"]
