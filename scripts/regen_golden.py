@@ -48,6 +48,11 @@ def cli_output_hashes(root: Path) -> dict[str, str]:
         argv = [arg.replace("{root}", str(root)) for arg in argv]
         code = main(argv)
         assert code == expected, f"{' '.join(argv)} exited {code}, expected {expected}"
+    return file_hashes(root)
+
+
+def file_hashes(root: Path) -> dict[str, str]:
+    """SHA-256 of every file under ``root``, by relative path."""
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*"))

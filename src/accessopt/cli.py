@@ -3,7 +3,9 @@
 Every run is a pure function of its config file, input files and seed; all
 outputs land in one user-named directory with stable bytes so runs diff
 cleanly.  Exit codes: 0 success/feasible, 2 input error, 3 infeasible,
-4 candidate pool too large for the oracle.
+4 candidate pool too large for the oracle.  ``main`` runs a command and
+returns its code; ``accessopt.__main__.run``, the process entry, exits
+with it.
 
 Each command imports only the modules it runs: ``synth`` neither routes,
 scores nor searches, ``score`` loads ``routing`` and ``accessibility``, and
@@ -453,6 +455,15 @@ def _config_text(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _say(line: str) -> None:
+    """Print a command's summary line.  A reader that has closed stdout
+    before it does not fail a run whose outputs are written."""
+    try:
+        print(line)
+    except BrokenPipeError:
+        pass
+
+
 def cmd_synth(cfg: RunConfig) -> int:
     scenario = generate_synthetic_scenario(
         cfg.seed,
@@ -468,7 +479,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     write_scenario_bundle(scenario, out)
     (out / "run.cfg").write_text(_config_text(cfg), encoding="utf-8")
-    print(f"wrote scenario bundle to {out}")
+    _say(f"wrote scenario bundle to {out}")
     return EXIT_OK
 
 
@@ -491,7 +502,7 @@ def cmd_score(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_layout(out, scenario, open_ids, fields, coverage, bin_spec)
     _dump_matrices(out, matrices, cfg)
-    print(f"scored existing layout ({len(open_ids)} sites) into {out}")
+    _say(f"scored existing layout ({len(open_ids)} sites) into {out}")
     return EXIT_OK
 
 
@@ -512,7 +523,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     _write_layout(out, scenario, opened, result.per_group_fields, result.coverage, bin_spec)
     _dump_matrices(out, matrices, cfg)
     status = "feasible" if result.feasible else "infeasible"
-    print(f"solve: k={result.layout.k} objective={result.objective} {status}")
+    _say(f"solve: k={result.layout.k} objective={result.objective} {status}")
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -527,15 +538,15 @@ def cmd_oracle(cfg: RunConfig) -> int:
     payload = {"oracle": True, **_result_payload(result)}
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "result_oracle.json", payload)
-    print(f"oracle: k={result.layout.k} objective={result.objective} "
-          f"{'feasible' if result.feasible else 'infeasible'}")
+    _say(f"oracle: k={result.layout.k} objective={result.objective} "
+         f"{'feasible' if result.feasible else 'infeasible'}")
 
     if heuristic is not None:
         if result.objective > 0:
             ratio = heuristic / result.objective
         else:
             ratio = 1.0 if heuristic == 0 else float("inf")
-        print(f"objective ratio (heuristic / oracle): {ratio}")
+        _say(f"objective ratio (heuristic / oracle): {ratio}")
     return EXIT_OK if result.feasible else EXIT_INFEASIBLE
 
 
@@ -618,7 +629,3 @@ def main(argv=None) -> int:
     except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -2,11 +2,13 @@
 
 ``synth`` imports neither routing, scoring nor the search, ``score`` never
 imports the search, and no command imports ``numpy.random``: a command's
-process is checked after it exits.  The names the package and ``cli`` have
-always offered still resolve, and the commands call routing, scoring and
-the optimizer through ``cli``'s attributes, where a wrapper set on the
-module is seen.  Every public dataclass has a docstring of its own, so that
-``dataclass`` need not build one from its signature at import.
+process is checked after it exits.  Only the process entry freezes the
+collector; ``main`` run in-process leaves it as it found it.  The names the
+package and ``cli`` have always offered still resolve, and the commands
+call routing, scoring and the optimizer through ``cli``'s attributes,
+where a wrapper set on the module is seen.  Every public dataclass has a
+docstring of its own, so that ``dataclass`` need not build one from its
+signature at import.
 The argument parser shares the config flags of its four commands through
 one parent parser; ``build_parser_per_command``, the construction it
 replaced, is the reference for every command's help and every flag.
@@ -14,6 +16,7 @@ replaced, is the reference for every command's help and every flag.
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -46,10 +49,10 @@ EXPORTS = (
 )
 
 # runs ``python -m accessopt ARGS`` in this process, then reports its exit
-# code and whether routing, scoring, the search or ``numpy.random`` was
-# ever imported
+# code, whether routing, scoring, the search or ``numpy.random`` was ever
+# imported, and whether the collector was frozen before the exit
 RUN_MODULE = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = ["accessopt", *sys.argv[1:]]
 try:
     runpy.run_module("accessopt", run_name="__main__", alter_sys=True)
@@ -58,7 +61,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps({"exit": code, **{name: f"accessopt.{name}" in sys.modules
                                    for name in ("routing", "accessibility", "optimizer")},
-                  "numpy_random": "numpy.random" in sys.modules}))
+                  "numpy_random": "numpy.random" in sys.modules,
+                  "frozen": gc.get_freeze_count() > 0}))
 """
 
 
@@ -77,18 +81,35 @@ def test_synth_and_score_never_import_the_optimizer(tmp_path):
                        "--n-existing", "2", "--n-candidate", "4", "--out", "city",
                        cwd=tmp_path)
     assert synth == {"exit": 0, "routing": False, "accessibility": False,
-                     "optimizer": False, "numpy_random": False}
+                     "optimizer": False, "numpy_random": False, "frozen": True}
     assert (tmp_path / "city" / "sites.csv").is_file()
     score = run_module("score", "--config", "city/run.cfg", "--out", "scored",
                        "--dump-matrix", cwd=tmp_path)
     assert score == {"exit": 0, "routing": True, "accessibility": True,
-                     "optimizer": False, "numpy_random": False}
+                     "optimizer": False, "numpy_random": False, "frozen": True}
     assert (tmp_path / "scored" / "layout.geojson").is_file()
     for command in ("solve", "oracle"):
         report = run_module(command, "--config", "city/run.cfg", "--out", "plan",
                             cwd=tmp_path)
         assert report["routing"] and report["accessibility"] and report["optimizer"]
         assert report["numpy_random"] is False
+        assert report["frozen"] is True
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path):
+    """Only the process entry freezes the collector: every command run
+    in-process, as the tests and ``perfbench/tracer.py`` run it, leaves
+    ``gc`` enabled and its frozen count as they were."""
+    cfg = str(tmp_path / "city" / "run.cfg")
+    argvs = (["synth", "--seed", "2", "--grid-rows", "6", "--grid-cols", "6",
+              "--n-existing", "2", "--n-candidate", "4", "--out", str(tmp_path / "city")],
+             ["score", "--config", cfg, "--out", str(tmp_path / "scored")],
+             ["solve", "--config", cfg, "--out", str(tmp_path / "plan")],
+             ["oracle", "--config", cfg, "--out", str(tmp_path / "plan")])
+    for argv in argvs:
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli.main(argv) in (0, 3), argv
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv[0]
 
 
 def test_every_export_resolves():

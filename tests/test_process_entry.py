@@ -1,0 +1,54 @@
+"""How a command's process ends.
+
+A command whose stdout's reader has gone, as under ``accessopt solve ... |
+true``, still exits with its own code and writes nothing to stderr, whether
+stdout is buffered or not: its outputs are written, and only the summary
+line has no reader.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import accessopt
+
+SRC = Path(accessopt.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_does_not_fail_a_finished_run(tmp_path, unbuffered):
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+
+    def command(out, *args, stdout):
+        return subprocess.run([sys.executable, "-m", "accessopt", *args, "--out", out],
+                              cwd=tmp_path, env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+
+    synth = ["synth", "--seed", "2", "--grid-rows", "6", "--grid-cols", "6",
+             "--n-existing", "2", "--n-candidate", "4"]
+    assert command("city", *synth, stdout=subprocess.DEVNULL).returncode == 0
+    # oracle reads solve's result.json and prints two lines
+    for args in (synth, ["score", "--config", "city/run.cfg"],
+                 ["solve", "--config", "city/run.cfg"],
+                 ["oracle", "--config", "city/run.cfg"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            closed = command("closed", *args, stdout=write)
+        finally:
+            os.close(write)
+        read_open = command("open", *args, stdout=subprocess.PIPE)
+        assert read_open.stdout, args[0]
+        assert (closed.returncode, closed.stderr) == (read_open.returncode, ""), args[0]
+    written = sorted(p.name for p in (tmp_path / "open").iterdir())
+    assert "result_oracle.json" in written
+    assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "closed" / name).read_bytes() == \
+            (tmp_path / "open" / name).read_bytes(), name
