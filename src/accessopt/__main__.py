@@ -18,8 +18,13 @@ def run() -> NoReturn:
     the heap.  No output waits on that walk, as every file is closed before
     ``main`` returns.  If stdout's reader has gone, stdout is pointed at
     ``os.devnull``, where the interpreter's own flush at exit cannot fail.
+    A ``SystemExit`` that ``main`` raises, as argparse's ``--help`` and
+    usage errors do, leaves the same way with its code.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

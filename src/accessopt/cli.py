@@ -25,6 +25,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import _LAZY as _PACKAGE_LAZY
 from .geodata import (
     DEFAULT_CAPACITY,
     DEFAULT_GROUPS,
@@ -52,16 +53,12 @@ if TYPE_CHECKING:
     from .accessibility import CoverageReport
     from .optimizer import ObjectiveParams, OptimizationResult
 
-# The names this module calls from the modules only some commands run, and
-# their module.  The commands read them as attributes of this module, ``_cli``,
-# whose ``__getattr__`` (PEP 562) imports and binds each on its first read, so
-# a wrapper set on this module (``perfbench/tracer.py`` sets some) is what runs.
-_LAZY = {
-    **dict.fromkeys(("_check_bins", "accessibility_scores", "assign_bin",
-                     "coverage_report", "default_bins"), "accessibility"),
-    **dict.fromkeys(("build_travel_time_matrices", "write_matrix_csv"), "routing"),
-    **dict.fromkeys(("ObjectiveParams", "exhaustive_oracle", "optimize"), "optimizer"),
-}
+# The names this module calls from the modules only some commands run: the
+# package's lazy names and two helpers of ``accessibility``.  The commands read
+# them as attributes of this module, ``_cli``, whose ``__getattr__`` (PEP 562)
+# imports and binds each on its first read, so a wrapper set on this module
+# (``perfbench/tracer.py`` sets some) is what runs.
+_LAZY = {**_PACKAGE_LAZY, **dict.fromkeys(("_check_bins", "assign_bin"), "accessibility")}
 # the modules each command runs besides ``geodata`` and ``limits``
 _MODULES = {"synth": (), "score": ("routing", "accessibility"),
             "solve": ("routing", "accessibility", "optimizer"),

@@ -23,7 +23,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -142,6 +142,16 @@ def _check_layout(layout: Layout, scenario: Scenario) -> None:
         )
 
 
+class _Scored(NamedTuple):
+    """A layout as ``_Evaluator.evaluate`` scored it."""
+
+    objective: float
+    feasible: bool
+    shortfall: float
+    fields: dict[str, np.ndarray]
+    open_ids: frozenset[str]
+
+
 def _catchment(scenario: Scenario, matrices, name: str) -> _Catchment:
     matrix = matrices.get(name)
     if matrix is None:
@@ -158,6 +168,9 @@ class _Evaluator:
     as ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible:
     it is the canonical value on which every search decision is made, and
     ``evaluate_block`` gives each of a block of layouts the same bits.
+    ``evaluate`` returns a ``_Scored`` record: the objective, feasibility and
+    total squared shortfall, each group's canonical field and the open
+    candidate ids, which the search carries from step to step.
     ``_MoveBlock``, ``_drop_swap_bounds`` and ``_open_bounds`` bound it from
     fields or sums that are not canonical, through one rounding model.
 
@@ -231,10 +244,11 @@ class _Evaluator:
         idx.sort()
         return np.array([idx], dtype=np.intp)
 
+    def block_fields(self, open_idx: np.ndarray) -> dict[str, np.ndarray]:
+        return {g: c.field(open_idx, self.params.gamma) for g, c in self.catchments.items()}
+
     def fields(self, open_candidates) -> dict[str, np.ndarray]:
-        open_idx = self.open_indices(open_candidates)
-        return {g: c.field(open_idx, self.params.gamma)[0]
-                for g, c in self.catchments.items()}
+        return {g: f[0] for g, f in self.block_fields(self.open_indices(open_candidates)).items()}
 
     @cached_property
     def by_demand(self) -> dict[str, SiteMajor]:
@@ -281,8 +295,11 @@ class _Evaluator:
         runs along one C-contiguous row, pairwise as for a single layout,
         so a row has the bits ``evaluate`` gives its layout.
         """
+        return self.score(self.block_fields(open_idx), open_idx)
+
+    def score(self, fields, open_idx: np.ndarray):
+        """``evaluate_block``'s arrays from the fields of ``open_idx``."""
         p = self.params
-        fields = {g: c.field(open_idx, p.gamma) for g, c in self.catchments.items()}
         deviation = np.abs(fields[p.primary_group] - p.a_sigma)
         n_open = open_idx.shape[1] - len(self.existing_idx)
         objective = p.alpha * n_open + p.beta * np.sum(deviation**2, axis=-1)
@@ -295,15 +312,22 @@ class _Evaluator:
                                            axis=-1)
         return objective, feasible, shortfall
 
-    def evaluate(self, open_candidates) -> tuple[float, bool, float]:
-        """(objective, feasible, total squared shortfall) for one layout."""
-        open_idx = self.open_indices(open_candidates)
-        objective, feasible, shortfall = self.evaluate_block(open_idx)
-        return float(objective[0]), bool(feasible[0]), float(shortfall[0])
+    def evaluate(self, open_candidates) -> _Scored:
+        """One layout, scored."""
+        open_ids = frozenset(open_candidates)
+        open_idx = self.open_indices(open_ids)
+        fields = self.block_fields(open_idx)
+        objective, feasible, shortfall = self.score(fields, open_idx)
+        return _Scored(float(objective[0]), bool(feasible[0]), float(shortfall[0]),
+                       {g: f[0] for g, f in fields.items()}, open_ids)
 
-    def shortfalls(self, open_candidates) -> tuple[Shortfall, ...]:
-        p = self.params
-        fields = self.fields(open_candidates)
+    @cached_property
+    def empty(self) -> _Scored:
+        """The layout that opens no candidate, where greedy and the oracle start."""
+        return self.evaluate(())
+
+    def shortfalls(self, scored: _Scored) -> tuple[Shortfall, ...]:
+        p, fields = self.params, scored.fields
         ids = self.scenario.demand_ids
         return tuple(
             Shortfall(ids[i], g, float(fields[g][i]))
@@ -364,47 +388,38 @@ class _MoveBlock:
         return result
 
 
-def objective_value(
-    layout: Layout,
-    scenario: Scenario,
-    matrices,
-    params: ObjectiveParams,
-) -> float:
+def objective_value(layout: Layout, scenario: Scenario, matrices,
+                    params: ObjectiveParams) -> float:
     """Cost of a layout: facility count plus squared deviations from target."""
     _check_layout(layout, scenario)
-    return _Evaluator(scenario, matrices, params).evaluate(layout.open_candidates)[0]
+    return _Evaluator(scenario, matrices, params).evaluate(layout.open_candidates).objective
 
 
-def is_feasible(
-    layout: Layout,
-    scenario: Scenario,
-    matrices,
-    params: ObjectiveParams,
-) -> tuple[bool, tuple[Shortfall, ...]]:
+def is_feasible(layout: Layout, scenario: Scenario, matrices,
+                params: ObjectiveParams) -> tuple[bool, tuple[Shortfall, ...]]:
     """Whether every constrained group reaches the target everywhere it lives."""
     _check_layout(layout, scenario)
-    shortfalls = _Evaluator(scenario, matrices, params).shortfalls(layout.open_candidates)
+    ev = _Evaluator(scenario, matrices, params)
+    shortfalls = ev.shortfalls(ev.evaluate(layout.open_candidates))
     return (not shortfalls), shortfalls
 
 
-def _open_bounds(ev: _Evaluator, open_ids, shortfall: float) -> np.ndarray:
+def _open_bounds(ev: _Evaluator, current: _Scored) -> np.ndarray:
     """Certain lower bounds on the canonical shortfall s(A + c), one a candidate.
 
-    A is ``open_ids``, of canonical shortfall ``shortfall``; open candidates'
-    bounds mean nothing.  Where c adds nothing, A + c has the field F of A
-    bit for bit.  Where it adds v, its field is at most hi = (F + v) +
-    field_err(F + v).  As h = max(0, a_sigma - field)^2 does not rise with
-    the field, s(A + c) is s(A) less at most the cut, the sum of h(F) -
-    h(hi) where c adds, but for rounding: each of the three sums is within
-    sum_tol / 4 of its exact value, and none is above s(A) by more, so
-    sum_tol * s(A) covers them, the differences and the bound.  Below the
-    normal range all is exact.
+    A is the scored layout ``current``; open candidates' bounds mean
+    nothing.  Where c adds nothing, A + c has the field F of A bit for bit.
+    Where it adds v, its field is at most hi = (F + v) + field_err(F + v).
+    As h = max(0, a_sigma - field)^2 does not rise with the field, s(A + c)
+    is s(A) less at most the cut, the sum of h(F) - h(hi) where c adds, but
+    for rounding: each of the three sums is within sum_tol / 4 of its exact
+    value, and none is above s(A) by more, so sum_tol * s(A) covers them,
+    the differences and the bound.  Below the normal range all is exact.
     """
-    p = ev.params
-    fields = ev.fields(open_ids)
+    p, shortfall = ev.params, current.shortfall
     cut = np.zeros(len(ev.candidate_ids))
     for g in p.constraint_groups:
-        F, t = fields[g], ev.by_demand[g]
+        F, t = current.fields[g], ev.by_demand[g]
         h = np.maximum(0.0, p.a_sigma - F) ** 2
         take = (ev.pos_mask[g] & (h > 0.0))[t.site]
         points = t.site[take]
@@ -415,52 +430,45 @@ def _open_bounds(ev: _Evaluator, open_ids, shortfall: float) -> np.ndarray:
     return shortfall - cut - ev.sum_tol * shortfall
 
 
-def _greedy(ev: _Evaluator) -> tuple[set[str], list[tuple[str, ...]], bool]:
+def _greedy(ev: _Evaluator) -> tuple[_Scored, list[tuple[str, ...]]]:
     """Open the candidate with the least key (shortfall, objective, cid) until feasible.
 
-    Returns the open set, its trace and whether it ended feasible.  A step
-    evaluates closed candidates in ascending order of ``_open_bounds``, ties
-    by id, up to the first bound strictly above the best confirmed shortfall.
+    Returns the scored layout it ends at and its trace.  A step evaluates
+    closed candidates in ascending order of ``_open_bounds``, ties by id, up
+    to the first bound strictly above the best confirmed shortfall.
     """
-    open_ids: set[str] = set()
+    current = ev.empty
     trace: list[tuple[str, ...]] = []
-    _, feasible, shortfall = ev.evaluate(open_ids)
     is_open = np.zeros(len(ev.candidate_ids), dtype=bool)
-    while not feasible and not is_open.all():
-        bounds = _open_bounds(ev, open_ids, shortfall)
+    while not current.feasible and not is_open.all():
+        bounds = _open_bounds(ev, current)
         bounds[is_open] = math.inf
         best = None
         for j in np.argsort(bounds, kind="stable"):
-            if best is not None and bounds[j] > best[0]:
+            if best is not None and bounds[j] > best[0][0]:
                 break
             cid = ev.candidate_ids[j]
-            objective, step_feasible, step_shortfall = ev.evaluate(open_ids | {cid})
-            key = (step_shortfall, objective, cid)
-            if best is None or key < best[:3]:
-                best = (*key, step_feasible, j)
-        shortfall, _, best_cid, feasible, j = best
+            trial = ev.evaluate(current.open_ids | {cid})
+            key = (trial.shortfall, trial.objective, cid)
+            if best is None or key < best[0]:
+                best = (key, j, trial)
+        (_, _, cid), j, current = best
         is_open[j] = True
-        open_ids.add(best_cid)
-        trace.append(("open", best_cid))
-    return open_ids, trace, feasible
+        trace.append(("open", cid))
+    return current, trace
 
 
-def greedy_construct(
-    scenario: Scenario,
-    matrices,
-    params: ObjectiveParams,
-) -> Layout:
+def greedy_construct(scenario: Scenario, matrices, params: ObjectiveParams) -> Layout:
     """Open candidates one at a time, always the one cutting shortfall most.
 
     Ties fall to the lower objective, then the smaller site id.  Stops as
     soon as the layout is feasible, or with everything open when it never
     becomes feasible.
     """
-    open_ids, _, _ = _greedy(_Evaluator(scenario, matrices, params))
-    return Layout(frozenset(open_ids))
+    return Layout(_greedy(_Evaluator(scenario, matrices, params))[0].open_ids)
 
 
-def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
+def _drop_swap_bounds(ev: _Evaluator, current: _Scored):
     """Certain bounds on ``evaluate`` for the drops and swaps from ``current``
     that may be feasible: (outs, closed, rows, cols, objective lower bounds).
 
@@ -481,14 +489,13 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     (F + n)`` of F - o + n, which lowers each square by at most twice that
     times |x| + o + n.
     """
-    p = ev.params
-    outs = sorted(current)
-    is_open = np.array([c in current for c in ev.candidate_ids], dtype=bool)
+    p, fields = ev.params, current.fields
+    outs = sorted(current.open_ids)
+    is_open = np.array([c in current.open_ids for c in ev.candidate_ids], dtype=bool)
     opened, shut = np.flatnonzero(is_open), np.flatnonzero(~is_open)
     closed = [ev.candidate_ids[j] for j in shut]
     n_cand, n_outs, width = len(is_open), len(outs), 1 + len(shut)
     row_of, col_of = np.cumsum(is_open) - 1, np.cumsum(~is_open)
-    fields = ev.fields(current)
     deficits, keys = np.zeros(n_outs, dtype=np.intp), []
     for g in p.constraint_groups:
         F, pos, t = fields[g], ev.pos_mask[g], ev.by_demand[g]
@@ -545,17 +552,17 @@ def _drop_swap_bounds(ev: _Evaluator, current: set[str]):
     return outs, closed, rows, cols, ev.sum_floor(least + p.beta * (squares - slack), least)
 
 
-def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
+def _best_move(ev: _Evaluator, current: _Scored):
     """The improving feasible drop or swap a full scan would take, or None.
 
-    Returns (objective, position in the scan, move, layout after the move).
+    Returns (objective, position in the scan, move, scored layout after it).
 
     A full scan enumerates the drops, then the swaps, each in ascending
     site-id order, and keeps the first move of least objective.  Here
     ``_drop_swap_bounds`` screens every move of the step at once.
     """
     outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
-    threshold = current_obj - IMPROVEMENT_TOL
+    threshold = current.objective - IMPROVEMENT_TOL
     keep = ~(objective_lo >= threshold)
     rows, cols, lows = rows[keep], cols[keep], objective_lo[keep]
     scan_pos = np.where(cols == 0, rows, len(outs) + rows * len(closed) + cols - 1)
@@ -564,25 +571,22 @@ def _best_move(ev: _Evaluator, current: set[str], current_obj: float):
         if best is not None and lows[t] > best[0]:
             break
         out = outs[rows[t]]
+        stay = current.open_ids - {out}
         if cols[t] == 0:
-            move, trial_set = ("drop", out), current - {out}
+            move, trial = ("drop", out), ev.evaluate(stay)
         else:
             inn = closed[cols[t] - 1]
-            move, trial_set = ("swap", out, inn), (current - {out}) | {inn}
-        objective, feasible, _ = ev.evaluate(trial_set)
-        if not feasible or objective >= threshold:
+            move, trial = ("swap", out, inn), ev.evaluate(stay | {inn})
+        if not trial.feasible or trial.objective >= threshold:
             continue
-        if best is None or (objective, scan_pos[t]) < best[:2]:
-            best = (objective, scan_pos[t], move, trial_set)
+        if best is None or (trial.objective, scan_pos[t]) < best[:2]:
+            best = (trial.objective, scan_pos[t], move, trial)
     return best
 
 
-def _local_search(
-    ev: _Evaluator, start: set[str], budget: int
-) -> tuple[set[str], list[tuple[str, ...]]]:
-    current = set(start)
-    current_obj, feasible, _ = ev.evaluate(current)
-    if not feasible:
+def _local_search(ev: _Evaluator, current: _Scored,
+                  budget: int) -> tuple[_Scored, list[tuple[str, ...]]]:
+    if not current.feasible:
         warnings.warn(
             "local search start layout is infeasible; returning it unchanged",
             stacklevel=3,
@@ -590,21 +594,16 @@ def _local_search(
         return current, []
     trace: list[tuple[str, ...]] = []
     for _ in range(budget):
-        best = _best_move(ev, current, current_obj)
+        best = _best_move(ev, current)
         if best is None:
             break
-        current_obj, _, move, current = best
+        _, _, move, current = best
         trace.append(move)
     return current, trace
 
 
-def local_search(
-    start: Layout,
-    scenario: Scenario,
-    matrices,
-    params: ObjectiveParams,
-    budget: int = DEFAULT_BUDGET,
-) -> Layout:
+def local_search(start: Layout, scenario: Scenario, matrices, params: ObjectiveParams,
+                 budget: int = DEFAULT_BUDGET) -> Layout:
     """Best-improvement drop/swap descent from a feasible start layout.
 
     Only feasibility-preserving moves that strictly lower the objective are
@@ -614,53 +613,41 @@ def local_search(
     check_budget(budget)
     _check_layout(start, scenario)
     ev = _Evaluator(scenario, matrices, params)
-    final, _ = _local_search(ev, set(start.open_candidates), budget)
-    return Layout(frozenset(final))
+    final, _ = _local_search(ev, ev.evaluate(start.open_candidates), budget)
+    return Layout(final.open_ids)
 
 
-def _search(ev: _Evaluator, budget: int) -> tuple[set[str], list[tuple[str, ...]]]:
+def _search(ev: _Evaluator, budget: int) -> tuple[_Scored, list[tuple[str, ...]]]:
     """Greedy construction, then local search when the greedy layout is feasible."""
-    open_ids, trace, feasible = _greedy(ev)
-    if feasible:
-        open_ids, moves = _local_search(ev, open_ids, budget)
+    current, trace = _greedy(ev)
+    if current.feasible:
+        current, moves = _local_search(ev, current, budget)
         trace.extend(moves)
-    return open_ids, trace
+    return current, trace
 
 
-def _assemble_result(
-    ev: _Evaluator,
-    matrices,
-    open_ids,
-    trace,
-    bin_spec,
-) -> OptimizationResult:
+def _assemble_result(ev: _Evaluator, matrices, scored: _Scored, trace,
+                     bin_spec) -> OptimizationResult:
     scenario, params = ev.scenario, ev.params
-    layout = Layout(frozenset(open_ids))
-    shortfalls = ev.shortfalls(layout.open_candidates)
-    open_idx = ev.open_indices(layout.open_candidates)
+    open_idx = ev.open_indices(scored.open_ids)
     fields, coverage = {}, {}
     for g in scenario.groups:
         catchment = ev.catchments.get(g.name) or _catchment(scenario, matrices, g.name)
         fields[g.name] = field = catchment.scores(open_idx, params.gamma)
         coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
     return OptimizationResult(
-        layout=layout,
-        objective=ev.evaluate(layout.open_candidates)[0],
-        feasible=not shortfalls,
+        layout=Layout(scored.open_ids),
+        objective=scored.objective,
+        feasible=scored.feasible,
         per_group_fields=fields,
         coverage=coverage,
-        shortfalls=shortfalls,
+        shortfalls=ev.shortfalls(scored),
         trace=tuple(trace),
     )
 
 
-def optimize(
-    scenario: Scenario,
-    matrices,
-    params: ObjectiveParams,
-    budget: int = DEFAULT_BUDGET,
-    bins=None,
-) -> OptimizationResult:
+def optimize(scenario: Scenario, matrices, params: ObjectiveParams,
+             budget: int = DEFAULT_BUDGET, bins=None) -> OptimizationResult:
     """Greedy construction plus local search, with full reporting.
 
     The result carries accessibility fields and coverage reports for every
@@ -671,16 +658,16 @@ def optimize(
     check_budget(budget)
     bin_spec = _check_bins(default_bins(params.a_sigma) if bins is None else bins)
     ev = _Evaluator(scenario, matrices, params)
-    open_ids, trace = _search(ev, budget)
-    return _assemble_result(ev, matrices, open_ids, trace, bin_spec)
+    scored, trace = _search(ev, budget)
+    return _assemble_result(ev, matrices, scored, trace, bin_spec)
 
 
-def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str, ...]:
-    """The least (objective, k, ids) of the layouts that qualify, as the ids.
+def _branch_and_bound(ev: _Evaluator, incumbent: _Scored) -> _Scored:
+    """The layout of least (objective, k, ids) among those that qualify, scored.
 
-    A layout qualifies when it is feasible or, when ``least_shortfall`` is
-    given, when its total squared shortfall has exactly those bits.
-    ``best`` is the key of a layout that qualifies.
+    A layout qualifies when it is feasible or, when the scored layout
+    ``incumbent`` is not, when its total squared shortfall has exactly the
+    incumbent's bits, the least of all.
 
     Depth first over the subset tree: a node is a set of picks, and its
     children add one candidate after the last pick, in ``candidate_ids``
@@ -705,6 +692,7 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
         high[g][1::2] = np.cumsum(r[::-1], axis=0)[::-1]
     low = np.repeat(rows[ev.params.primary_group], 2, axis=0)
     below = np.arange(2 * len(ids)) % 2
+    least_shortfall = None if incumbent.feasible else incumbent.shortfall
 
     def qualifies(objective, feasible, shortfall):
         return feasible if least_shortfall is None else shortfall == least_shortfall
@@ -718,10 +706,14 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
         # an exact tie on the objective leaves (k, ids) to decide
         return (bound < best[0]) | ((bound == best[0]) & (k <= best[1]))
 
-    empty = ev.evaluate(())
-    if qualifies(*empty):
-        best = min(best, (empty[0], 0, ()))
-    stack = [((), ev.fields(()), -math.inf)]
+    def key(scored):
+        return scored.objective, len(scored.open_ids), tuple(sorted(scored.open_ids))
+
+    empty = ev.empty
+    if qualifies(*empty[:3]) and key(empty) < key(incumbent):
+        incumbent = empty
+    best = key(incumbent)
+    stack = [((), empty.fields, -math.inf)]
     while stack:
         picks, fields, bound = stack.pop()
         start = picks[-1] + 1 if picks else 0
@@ -750,16 +742,12 @@ def _branch_and_bound(ev: _Evaluator, best: tuple, least_shortfall) -> tuple[str
             j = start + t
             child = {g: fields[g] + rows[g][j] for g in rows}
             stack.append(((*picks, j), child, bounds[2 * t + 1]))
-    return best[2]
+    # a layout that a block scored is scored again alone, for its fields
+    return incumbent if best == key(incumbent) else ev.evaluate(best[2])
 
 
-def exhaustive_oracle(
-    scenario: Scenario,
-    matrices,
-    params: ObjectiveParams,
-    max_pool: int = DEFAULT_MAX_POOL,
-    bins=None,
-) -> OptimizationResult:
+def exhaustive_oracle(scenario: Scenario, matrices, params: ObjectiveParams,
+                      max_pool: int = DEFAULT_MAX_POOL, bins=None) -> OptimizationResult:
     """Ground truth: the optimum over every candidate subset, certified exactly.
 
     Returns the minimum-objective feasible layout (ties: fewer sites, then
@@ -794,8 +782,5 @@ def exhaustive_oracle(
             f"{pool} candidate sites exceed the oracle's cap of {max_pool}"
         )
     ev = _Evaluator(scenario, matrices, params)
-    open_ids, _ = _search(ev, DEFAULT_BUDGET)
-    objective, feasible, shortfall = ev.evaluate(open_ids)
-    incumbent = (objective, len(open_ids), tuple(sorted(open_ids)))
-    chosen = _branch_and_bound(ev, incumbent, None if feasible else shortfall)
+    chosen = _branch_and_bound(ev, _search(ev, DEFAULT_BUDGET)[0])
     return _assemble_result(ev, matrices, chosen, (), bin_spec)

@@ -218,7 +218,7 @@ def assert_oracle_equals_reference(name):
     assert result.layout.open_candidates == frozenset(chosen), name
     assert bits(result.objective) == bits(objective), name
     assert result.feasible == feasible, name
-    assert result.shortfalls == ev.shortfalls(chosen), name
+    assert result.shortfalls == ev.shortfalls(ev.evaluate(chosen)), name
 
 
 def split_blocks(monkeypatch, block_bytes):
@@ -282,7 +282,7 @@ def test_every_block_row_equals_reference(rows):
                 assert bits(objective[r]) == bits(expected[0]), name
                 assert bool(feasible[r]) == expected[1], name
                 assert bits(shortfall[r]) == bits(expected[2]), name
-                assert ev.evaluate(subset) == expected, name
+                assert ev.evaluate(subset)[:3] == expected, name
                 seen.append(subset)
         assert sorted(seen) == sorted(scores), name
         checked += 1

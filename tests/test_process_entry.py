@@ -3,7 +3,8 @@
 A command whose stdout's reader has gone, as under ``accessopt solve ... |
 true``, still exits with its own code and writes nothing to stderr, whether
 stdout is buffered or not: its outputs are written, and only the summary
-line has no reader.
+line has no reader.  So does ``--help``, whose exit argparse raises inside
+``main``.
 """
 
 import os
@@ -18,12 +19,37 @@ import accessopt
 SRC = Path(accessopt.__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_does_not_fail_a_finished_run(tmp_path, unbuffered):
+def environment(unbuffered):
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(SRC)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def closed_pipe():
+    """The write end of a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["help", "solve-help"])
+def test_closed_stdout_does_not_fail_help(argv, unbuffered):
+    write = closed_pipe()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "accessopt", *argv],
+                              env=environment(unbuffered), stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_does_not_fail_a_finished_run(tmp_path, unbuffered):
+    env = environment(unbuffered)
 
     def command(out, *args, stdout):
         return subprocess.run([sys.executable, "-m", "accessopt", *args, "--out", out],
@@ -37,8 +63,7 @@ def test_closed_stdout_does_not_fail_a_finished_run(tmp_path, unbuffered):
     for args in (synth, ["score", "--config", "city/run.cfg"],
                  ["solve", "--config", "city/run.cfg"],
                  ["oracle", "--config", "city/run.cfg"]):
-        read, write = os.pipe()
-        os.close(read)
+        write = closed_pipe()
         try:
             closed = command("closed", *args, stdout=write)
         finally:

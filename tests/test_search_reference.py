@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from accessopt import optimizer
-from accessopt.accessibility import accessibility_scores
+from accessopt.accessibility import _Catchment, accessibility_scores
 from accessopt.geodata import FacilitySite, Scenario, generate_synthetic_scenario
 from accessopt.optimizer import (
     _TINY,
@@ -41,6 +41,10 @@ from conftest import GENERAL, random_scenario, table_scenario
 N_RANDOM = 60
 
 
+def bits(x):
+    return np.float64(x).tobytes()
+
+
 def reference_greedy(ev, ties):
     open_ids = set()
     trace = []
@@ -49,7 +53,7 @@ def reference_greedy(ev, ties):
         best_key = None
         best_cid = None
         for cid in remaining:
-            objective, _, shortfall = ev.evaluate(open_ids | {cid})
+            objective, _, shortfall = ev.evaluate(open_ids | {cid})[:3]
             key = (shortfall, objective, cid)
             if best_key is not None and key[:2] == best_key[:2]:
                 ties.append("greedy")
@@ -63,7 +67,7 @@ def reference_greedy(ev, ties):
 
 def reference_local_search(ev, start, budget, ties):
     current = set(start)
-    current_obj, feasible, _ = ev.evaluate(current)
+    current_obj, feasible, _ = ev.evaluate(current)[:3]
     if not feasible:
         return current, []
     trace = []
@@ -79,7 +83,7 @@ def reference_local_search(ev, start, budget, ties):
             for inn in closed
         )
         for move, trial in moves:
-            objective, feasible, _ = ev.evaluate(trial)
+            objective, feasible, _ = ev.evaluate(trial)[:3]
             if not feasible or objective >= current_obj - IMPROVEMENT_TOL:
                 continue
             if best_obj is not None and objective == best_obj:
@@ -299,7 +303,7 @@ def assert_screen_equals_dense(ev, current):
     """The screen keeps exactly the moves that the dense screen marks maybe
     feasible, row by row, and bounds each with the dense screen's bits: it
     does the same arithmetic, one move at a time."""
-    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
+    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, ev.evaluate(current))
     dense_outs, dense_closed, dense_lo, maybe_feasible = dense_drop_swap_bounds(ev, current)
     assert (outs, closed) == (dense_outs, dense_closed)
     kept_rows, kept_cols = np.nonzero(maybe_feasible)
@@ -311,7 +315,7 @@ def drop_swap_moves(ev, current):
     """Every drop and swap from ``current`` with local search's screen:
     yields (layout after the move, objective bound), the bound None where
     the screen leaves the move out as certainly infeasible."""
-    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
+    outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, ev.evaluate(current))
     width = 1 + len(closed)
     assert len(rows) == len(cols) == len(objective_lo)
     assert np.all((0 <= cols) & (cols < width))
@@ -331,7 +335,7 @@ def assert_bounds_hold(ev, current, tight=True):
     canonical value; the screen also matches the dense screen."""
     assert_screen_equals_dense(ev, current)
     for layout, objective_lo in drop_swap_moves(ev, current):
-        objective, feasible, _ = ev.evaluate(layout)
+        objective, feasible, _ = ev.evaluate(layout)[:3]
         if objective_lo is None:
             assert not feasible
             continue
@@ -349,8 +353,8 @@ def assert_open_bounds_hold(ev, layouts, tight=True):
     bare.sum_tol = 0.0
     needed = 0
     for a in layouts:
-        s_a = ev.evaluate(a)[2]
-        bounds, bare_bounds = _open_bounds(ev, a, s_a), _open_bounds(bare, a, s_a)
+        current = ev.evaluate(a)
+        bounds, bare_bounds = _open_bounds(ev, current), _open_bounds(bare, current)
         for j, c in enumerate(ev.candidate_ids):
             if c in a:
                 continue
@@ -419,12 +423,29 @@ def test_stale_cuts_hold(name):
     assert_open_bounds_hold(ev, [frozenset()] + layouts)
 
 
-def rounding_decides(n, existing, candidates):
-    """Check the bounds with the target exactly on one layout's field, at
-    each of n equal points, for every layout: only the error bounds separate
-    the bounds from the canonical values (alpha = 0, every site reaches every
-    point).  Returns the number of greedy's bounds that hold only by their
-    slack."""
+# (n, existing capacities, candidate capacities) of each rounding table
+ROUNDING_TABLES = {
+    # the shortfall sums ten equal terms pairwise and greedy's cut sums them
+    # one after another, so some bound of greedy's there needs its slack
+    "pairwise cut": (10, (), (100.0, 200.0, 300.0, 70.0, 1100.0)),
+    # each dot product of local search's screen adds 1000 equal terms
+    "equal points": (1000, (), (0.1, 0.2, 0.3, 0.07, 1.1)),
+    # the field's rounding dwarfs the rows that a move changes
+    "large base": (1, tuple(100.0 + 7.3 * j for j in range(40)),
+                   (1e-5, 2.3e-5, 3.1e-5, 0.7e-5)),
+    # the field crosses 1.0, where its unit roundoff doubles, at a different
+    # step for each order of adding the rows: greedy's F + v is below the
+    # canonical field of some layouts, and only field_tol lifts it above
+    "power of two": (1, (999.99999943,), (4.268e-07, 1.362e-07, 1.39e-07, 8.993e-07)),
+}
+
+
+def rounding_instances(table):
+    """(evaluator, every layout) with the target exactly on one layout's
+    field, for every layout, at each of n equal points: only the error
+    bounds separate the bounds from the canonical values (alpha = 0, every
+    site reaches every point)."""
+    n, existing, candidates = ROUNDING_TABLES[table]
     sites = [(f"e{j}", "existing", cap) for j, cap in enumerate(existing)]
     sites += [(f"s{j}", "candidate", cap) for j, cap in enumerate(candidates)]
     scenario, matrices = table_scenario(
@@ -434,10 +455,16 @@ def rounding_decides(n, existing, candidates):
     ev0 = _Evaluator(scenario, matrices, ObjectiveParams())
     layouts = [frozenset(c) for k in range(len(candidates) + 1)
                for c in itertools.combinations(ev0.candidate_ids, k)]
-    needed = 0
     for target in layouts:
         a_sigma = float(ev0.fields(target)["general"][0])
-        ev = _Evaluator(scenario, matrices, ObjectiveParams(alpha=0.0, a_sigma=a_sigma))
+        yield _Evaluator(scenario, matrices, ObjectiveParams(alpha=0.0, a_sigma=a_sigma)), layouts
+
+
+def rounding_decides(table):
+    """Check the bounds on every layout of ``rounding_instances``.  Returns
+    the number of greedy's bounds that hold only by their slack."""
+    needed = 0
+    for ev, layouts in rounding_instances(table):
         for current in layouts:
             assert_bounds_hold(ev, set(current), tight=False)
         needed += assert_open_bounds_hold(ev, layouts, tight=False)
@@ -445,23 +472,12 @@ def rounding_decides(n, existing, candidates):
 
 
 def test_bounds_hold_where_rounding_decides():
-    # the shortfall sums ten equal terms pairwise and greedy's cut sums them
-    # one after another, so some bound of greedy's there needs its slack
-    assert rounding_decides(10, (), (100.0, 200.0, 300.0, 70.0, 1100.0))
+    assert rounding_decides("pairwise cut")
 
 
-@pytest.mark.parametrize("n, existing, candidates", [
-    # each dot product of local search's screen adds 1000 equal terms
-    (1000, (), (0.1, 0.2, 0.3, 0.07, 1.1)),
-    # the field's rounding dwarfs the rows that a move changes
-    (1, tuple(100.0 + 7.3 * j for j in range(40)), (1e-5, 2.3e-5, 3.1e-5, 0.7e-5)),
-    # the field crosses 1.0, where its unit roundoff doubles, at a different
-    # step for each order of adding the rows: greedy's F + v is below the
-    # canonical field of some layouts, and only field_tol lifts it above
-    (1, (999.99999943,), (4.268e-07, 1.362e-07, 1.39e-07, 8.993e-07)),
-], ids=["equal points", "large base", "power of two"])
-def test_drop_swap_bounds_hold_where_rounding_decides(n, existing, candidates):
-    rounding_decides(n, existing, candidates)
+@pytest.mark.parametrize("table", ["equal points", "large base", "power of two"])
+def test_drop_swap_bounds_hold_where_rounding_decides(table):
+    rounding_decides(table)
 
 
 def test_bounds_hold_for_long_sums():
@@ -493,15 +509,15 @@ def weaken_bounds(monkeypatch, seed):
     def scramble(ev, current):
         # keep some moves that the screen leaves out, with the dense bounds
         outs, closed, rows, cols, objective_lo = _drop_swap_bounds(ev, current)
-        _, _, dense_lo, _ = dense_drop_swap_bounds(ev, current)
+        _, _, dense_lo, _ = dense_drop_swap_bounds(ev, current.open_ids)
         kept = np.zeros(dense_lo.shape, dtype=bool)
         kept[rows, cols] = True
         dense_lo[rows, cols] = objective_lo
         rows, cols = np.nonzero(doubt(kept))
         return outs, closed, rows, cols, lower(dense_lo[rows, cols])
 
-    def screen(ev, open_ids, shortfall):
-        return lower(_open_bounds(ev, open_ids, shortfall))
+    def screen(ev, current):
+        return lower(_open_bounds(ev, current))
 
     for name, weaken in (("objective", lower), ("shortfall", lower),
                          ("maybe_feasible", doubt)):
@@ -524,6 +540,64 @@ def test_any_valid_bounds_give_the_same_search(seed, monkeypatch):
         assert optimize(scenario, matrices, params).trace == tuple(trace), name
 
 
+def spy_carried(monkeypatch):
+    """The scored layouts that greedy and local search carry into each
+    step, as the step's bounds receive them, in order."""
+    carried = []
+    for name in ("_open_bounds", "_drop_swap_bounds"):
+        bound = getattr(optimizer, name)
+        monkeypatch.setattr(optimizer, name, lambda ev, current, bound=bound:
+                            carried.append(current) or bound(ev, current))
+    return carried
+
+
+def after(open_ids, step):
+    kind, out, *inn = step
+    return (open_ids | {out}) if kind == "open" else (open_ids - {out}) | set(inn)
+
+
+def assert_carried_records_are_canonical(ev, carried):
+    """Run the search, and hold every scored layout that it carries, and the
+    one it ends at, to ``ev.fields`` bit for bit and to a fresh evaluation."""
+    carried.clear()
+    final, trace = optimizer._search(ev, 1000)
+    layouts = [frozenset()]
+    for step in trace:
+        layouts.append(after(layouts[-1], step))
+    # one step a trace entry, and local search's last scan that finds no move
+    assert len(trace) <= len(carried) <= len(trace) + 1
+    assert [scored.open_ids for scored in carried] == layouts[:len(carried)]
+    assert final.open_ids == layouts[-1]
+    for scored in (*carried, final):
+        fresh, reference = ev.evaluate(scored.open_ids), ev.fields(scored.open_ids)
+        assert [bits(v) for v in scored[:3]] == [bits(v) for v in fresh[:3]]
+        assert scored.fields.keys() == reference.keys()
+        for g, field in reference.items():
+            assert scored.fields[g].tobytes() == field.tobytes(), g
+
+
+@pytest.mark.parametrize("weakened", [False, True], ids=["tight", "weakened"])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_carried_records_are_canonical(name, weakened, monkeypatch):
+    """Each step starts from the scored layout of the step before, which
+    has the bits of scoring that layout afresh, however the bounds order
+    the moves."""
+    if weakened:
+        weaken_bounds(monkeypatch, list(INSTANCES).index(name))
+    carried = spy_carried(monkeypatch)
+    assert_carried_records_are_canonical(_Evaluator(*INSTANCES[name]()), carried)
+
+
+@pytest.mark.parametrize("weakened", [False, True], ids=["tight", "weakened"])
+@pytest.mark.parametrize("table", sorted(ROUNDING_TABLES))
+def test_carried_records_are_canonical_where_rounding_decides(table, weakened, monkeypatch):
+    if weakened:
+        weaken_bounds(monkeypatch, sorted(ROUNDING_TABLES).index(table))
+    carried = spy_carried(monkeypatch)
+    for ev, _ in rounding_instances(table):
+        assert_carried_records_are_canonical(ev, carried)
+
+
 def test_greedy_confirms_about_one_layout_per_step():
     """The bounds are tight enough that a greedy step confirms about one
     candidate: at most two canonical evaluations per step on the benchmark
@@ -532,7 +606,7 @@ def test_greedy_confirms_about_one_layout_per_step():
     calls = []
     evaluate = ev.evaluate
     ev.evaluate = lambda layout: calls.append(layout) or evaluate(layout)
-    _, trace, _ = _greedy(ev)
+    _, trace = _greedy(ev)
     assert len(trace) == 33
     assert len(calls) <= 2 * len(trace)
 
@@ -541,11 +615,37 @@ def test_local_search_confirms_about_one_layout_per_move():
     """The screen is tight enough that a step confirms about one move: at
     most two canonical evaluations per move taken on a 26x26 city."""
     ev = _Evaluator(*bench_city())
-    start, _, feasible = _greedy(ev)
-    assert feasible
+    start, _ = _greedy(ev)
+    assert start.feasible
     calls = []
     evaluate = ev.evaluate
     ev.evaluate = lambda layout: calls.append(layout) or evaluate(layout)
     _, moves = _local_search(ev, start, 1000)
     assert len(moves) >= 10
     assert len(calls) <= 2 * len(moves)
+
+
+def test_optimize_scores_each_layout_once(monkeypatch):
+    """On the seed-7 city, ``optimize`` builds 40 rows of canonical field,
+    where rebuilding each step's field from scratch built 76.  The search
+    scores the primary group alone, so each of its 37 canonical evaluations
+    builds one row: the empty layout, the 30 candidates that greedy
+    confirms in its 26 steps, and the 6 swaps or drops that local search
+    confirms in its 6 moves and its last scan.  One more row is the
+    all-open layout that ``_Evaluator.__init__`` bounds the objective by,
+    and 2 are the scenario's 2 groups scored at assembly.  No layout is
+    evaluated twice."""
+    rows, layouts = [], []
+    field, evaluate = _Catchment.field, _Evaluator.evaluate
+    monkeypatch.setattr(_Catchment, "field", lambda self, open_idx, gamma:
+                        rows.append(len(open_idx)) or field(self, open_idx, gamma))
+    monkeypatch.setattr(_Evaluator, "evaluate", lambda self, open_ids:
+                        layouts.append(frozenset(open_ids)) or evaluate(self, open_ids))
+    scenario, matrices, params = golden_instance()
+    result = optimize(scenario, matrices, params)
+    assert (params.primary_group, params.constraint_groups) == ("general", ("general",))
+    assert len(scenario.groups) == 2
+    assert [step[0] for step in result.trace].count("open") == 26
+    assert len(result.trace) == 26 + 6
+    assert len(layouts) == len(set(layouts)) == 1 + 30 + 6
+    assert sum(rows) == 37 + 1 + 2
