@@ -35,7 +35,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .geodata import DemandPoint, FacilitySite, Scenario, ValidationError, _check_positive
+from .geodata import (DemandPoint, FacilitySite, Scenario, ValidationError, _check_positive,
+                      _Record)
 from .routing import SiteMajor, TravelTimeMatrix
 
 _KERNEL_FLOOR = math.exp(-0.5)
@@ -43,8 +44,8 @@ _KERNEL_FLOOR = math.exp(-0.5)
 DEFAULT_A_SIGMA = 0.135
 
 
-@dataclass(frozen=True)
-class DecayParams:
+@dataclass(init=False, repr=False, eq=False)
+class DecayParams(_Record):
     """Travel-time threshold (minutes) of the decay kernel."""
 
     t_sigma_min: float
@@ -73,8 +74,8 @@ def gaussian_decay(t: float, params: DecayParams) -> float:
     return float(decay_weights(np.array([t], dtype=float), params.t_sigma_min)[0])
 
 
-@dataclass(frozen=True)
-class AccessibilityField:
+@dataclass(init=False, repr=False, eq=False)
+class AccessibilityField(_Record):
     """Accessibility score of every demand point for one group."""
 
     group: str
@@ -226,8 +227,8 @@ def accessibility_scores(
 # Coverage reporting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoverageBin:
+@dataclass(init=False, repr=False, eq=False)
+class CoverageBin(_Record):
     """The population scoring at or above ``lower_bound``, below the next bin."""
 
     label: str
@@ -236,8 +237,8 @@ class CoverageBin:
     share: float
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+@dataclass(init=False, repr=False, eq=False)
+class CoverageReport(_Record):
     """One group's population over the coverage bins, lowest bin first."""
 
     group: str

@@ -33,6 +33,7 @@ from .geodata import (
     PopulationGroup,
     Scenario,
     ValidationError,
+    _Record,
     format_number,
     generate_synthetic_scenario,
     load_scenario,
@@ -79,9 +80,13 @@ EXIT_INFEASIBLE = 3
 EXIT_POOL = 4
 
 
-@dataclass
-class RunConfig:
+@dataclass(init=False, repr=False, eq=False)
+class RunConfig(_Record):
     """Every config key, at its default until a config file or flag sets it."""
+
+    # the flags and the config file set its fields one by one, so unlike
+    # every other record it is mutable, and therefore unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     bundle: str | None = None
     nodes: str | None = None

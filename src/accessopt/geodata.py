@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -60,24 +60,93 @@ _STATUSES = (EXISTING, CANDIDATE)
 DEFAULT_CAPACITY = 1500.0
 
 
+_set = object.__setattr__
+
+
+class _Record:
+    """The methods of a frozen dataclass, written once for every record.
+
+    ``dataclass`` generates them for each class by ``exec`` at import, about
+    1 ms a class; a record declared ``@dataclass(init=False, repr=False,
+    eq=False)`` gets none and inherits these.  They take the fields in the
+    order of ``__match_args__``, which holds every field, as no record has a
+    keyword-only or non-init field or a default factory.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        """Bind the arguments to the fields in order, fill in the defaults,
+        then run ``__post_init__``."""
+        names, where = self.__match_args__, f"{type(self).__qualname__}.__init__()"
+        if len(args) > len(names):
+            raise TypeError(f"{where} takes {len(names)} arguments, not {len(args)}")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{where} got multiple values for argument {name!r}")
+            _set(self, name, value)
+        for name in names[len(args):]:
+            value = kwargs.pop(name, self.__dataclass_fields__[name].default)
+            if value is MISSING:
+                raise TypeError(f"{where} missing required argument {name!r}")
+            _set(self, name, value)
+        if kwargs:
+            raise TypeError(f"{where} got an unexpected keyword argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check and convert the fields: nothing to do unless overridden."""
+
+    def __repr__(self):
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({shown})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__getstate__() == other.__getstate__()
+
+    def __hash__(self):
+        return hash(self.__getstate__())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    # the fields' values in order, which a pickle or copy restores past the
+    # refusing ``__setattr__``
+    def __getstate__(self):
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__match_args__, state):
+            _set(self, name, value)
+
+
 # A city holds one of each of these records per node, edge, demand point or
-# site, so they keep their fields in slots, with no ``__dict__`` each.
-@dataclass(frozen=True, slots=True)
-class Coordinate:
+# site, so they keep their fields in slots, with no ``__dict__`` each, and
+# check them in an ``__init__`` of their own: the shared one would make
+# reading a city's bundle about a quarter slower.
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Coordinate(_Record):
     """WGS84 position in decimal degrees."""
 
     lon: float
     lat: float
 
-    def __post_init__(self):
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValidationError(f"lon {_shown(self.lon)} outside [-180, 180]")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValidationError(f"lat {_shown(self.lat)} outside [-90, 90]")
+    def __init__(self, lon: float, lat: float):
+        if not -180.0 <= lon <= 180.0:
+            raise ValidationError(f"lon {_shown(lon)} outside [-180, 180]")
+        if not -90.0 <= lat <= 90.0:
+            raise ValidationError(f"lat {_shown(lat)} outside [-90, 90]")
+        _set(self, "lon", lon)
+        _set(self, "lat", lat)
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class Edge(_Record):
     """A road segment of ``length_m`` metres between two node ids."""
 
     from_id: str
@@ -85,12 +154,16 @@ class Edge:
     length_m: float
     bidirectional: bool = True
 
-    def __post_init__(self):
-        _check_positive(self.length_m, "edge {}->{}: length_m", self.from_id, self.to_id)
+    def __init__(self, from_id: str, to_id: str, length_m: float, bidirectional: bool = True):
+        _check_positive(length_m, "edge {}->{}: length_m", from_id, to_id)
+        _set(self, "from_id", from_id)
+        _set(self, "to_id", to_id)
+        _set(self, "length_m", length_m)
+        _set(self, "bidirectional", bidirectional)
 
 
-@dataclass(frozen=True)
-class RoadNetwork:
+@dataclass(init=False, repr=False, eq=False)
+class RoadNetwork(_Record):
     """Weighted graph of road segments; bidirectional edges walk both ways."""
 
     nodes: dict[str, Coordinate]
@@ -158,8 +231,8 @@ def _first_repeat(ids: Sequence[str], label: str) -> tuple[int, ValidationError]
     return None
 
 
-@dataclass(frozen=True)
-class PopulationGroup:
+@dataclass(init=False, repr=False, eq=False)
+class PopulationGroup(_Record):
     """Walking profile for one slice of the population."""
 
     name: str
@@ -188,31 +261,33 @@ DEFAULT_GROUPS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class DemandPoint:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class DemandPoint(_Record):
     """A place where people live: its population per group name."""
 
     demand_id: str
     location: Coordinate
     population: Mapping[str, int]
 
-    def __post_init__(self):
+    def __init__(self, demand_id: str, location: Coordinate, population: Mapping[str, int]):
         coerced: dict[str, int] = {}
-        for group, count in dict(self.population).items():
+        for group, count in dict(population).items():
             try:
                 value = operator.index(count)
             except TypeError:
                 raise ValidationError(
-                    f"demand '{self.demand_id}': population[{group!r}] must be an "
+                    f"demand '{demand_id}': population[{group!r}] must be an "
                     f"integer, got {_shown(count)}"
                 ) from None
             if value < 0:
                 raise ValidationError(
-                    f"demand '{self.demand_id}': population[{group!r}] must be "
+                    f"demand '{demand_id}': population[{group!r}] must be "
                     f"non-negative, got {value}"
                 )
             coerced[str(group)] = value
-        object.__setattr__(self, "population", coerced)
+        _set(self, "demand_id", demand_id)
+        _set(self, "location", location)
+        _set(self, "population", coerced)
 
     def pop_of(self, group: str) -> int:
         return self.population.get(group, 0)
@@ -227,8 +302,8 @@ class DemandPoint:
         return self.total_population == 0
 
 
-@dataclass(frozen=True, slots=True)
-class FacilitySite:
+@dataclass(init=False, repr=False, eq=False, slots=True)
+class FacilitySite(_Record):
     """A facility, existing or candidate, and the population it can serve."""
 
     site_id: str
@@ -236,21 +311,26 @@ class FacilitySite:
     status: str
     capacity: float = DEFAULT_CAPACITY
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
+    def __init__(self, site_id: str, location: Coordinate, status: str,
+                 capacity: float = DEFAULT_CAPACITY):
+        if status not in _STATUSES:
             raise ValidationError(
-                f"site '{self.site_id}': unknown status '{self.status}' "
+                f"site '{site_id}': unknown status '{status}' "
                 f"(expected one of {', '.join(_STATUSES)})"
             )
-        _check_positive(self.capacity, "site '{}': capacity", self.site_id)
+        _check_positive(capacity, "site '{}': capacity", site_id)
+        _set(self, "site_id", site_id)
+        _set(self, "location", location)
+        _set(self, "status", status)
+        _set(self, "capacity", capacity)
 
     @property
     def existing(self) -> bool:
         return self.status == EXISTING
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(init=False, repr=False, eq=False)
+class Scenario(_Record):
     """One complete problem instance; validated on construction."""
 
     network: RoadNetwork

@@ -39,7 +39,7 @@ from .accessibility import (
     default_bins,
     supply_demand_ratios,  # noqa: F401
 )
-from .geodata import Scenario, ValidationError
+from .geodata import Scenario, ValidationError, _Record
 from .limits import (  # noqa: F401  (MAX_POOL_CEILING is read from here)
     DEFAULT_BUDGET,
     DEFAULT_MAX_POOL,
@@ -60,8 +60,8 @@ _TINY = float(np.finfo(float).tiny)
 _GRAM_BLOCK = 4096
 
 
-@dataclass(frozen=True)
-class ObjectiveParams:
+@dataclass(init=False, repr=False, eq=False)
+class ObjectiveParams(_Record):
     """The objective ``alpha * k + beta * sum((A_i - a_sigma)**2)`` over the
     primary group's scores, and the groups that must reach ``a_sigma``."""
 
@@ -87,8 +87,8 @@ class ObjectiveParams:
                 raise ValidationError(f"constraint group '{name}' is listed twice")
 
 
-@dataclass(frozen=True)
-class Layout:
+@dataclass(init=False, repr=False, eq=False)
+class Layout(_Record):
     """The chosen set of candidate sites to open; existing sites are always open."""
 
     open_candidates: frozenset[str]
@@ -104,8 +104,8 @@ class Layout:
         return tuple(sorted(self.open_candidates))
 
 
-@dataclass(frozen=True)
-class Shortfall:
+@dataclass(init=False, repr=False, eq=False)
+class Shortfall(_Record):
     """A demand point of a constraint group that scores below ``a_sigma``."""
 
     demand_id: str
@@ -113,8 +113,8 @@ class Shortfall:
     score: float
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
+@dataclass(init=False, repr=False, eq=False)
+class OptimizationResult(_Record):
     """A layout with its objective, scores, coverage, shortfalls and search trace."""
 
     layout: Layout
@@ -629,11 +629,15 @@ def _search(ev: _Evaluator, budget: int) -> tuple[_Scored, list[tuple[str, ...]]
 def _assemble_result(ev: _Evaluator, matrices, scored: _Scored, trace,
                      bin_spec) -> OptimizationResult:
     scenario, params = ev.scenario, ev.params
-    open_idx = ev.open_indices(scored.open_ids)
     fields, coverage = {}, {}
     for g in scenario.groups:
-        catchment = ev.catchments.get(g.name) or _catchment(scenario, matrices, g.name)
-        fields[g.name] = field = catchment.scores(open_idx, params.gamma)
+        # the evaluator scored its own groups; only the others need a catchment
+        row = scored.fields.get(g.name)
+        if row is None:
+            catchment = _catchment(scenario, matrices, g.name)
+            row = catchment.field(ev.open_indices(scored.open_ids), params.gamma)[0]
+        fields[g.name] = field = AccessibilityField(
+            g.name, dict(zip(scenario.demand_ids, row.tolist())), params.gamma)
         coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
     return OptimizationResult(
         layout=Layout(scored.open_ids),

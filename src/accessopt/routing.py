@@ -29,6 +29,7 @@ from .geodata import (
     RoadNetwork,
     Scenario,
     ValidationError,
+    _Record,
     write_csv,
 )
 
@@ -295,8 +296,8 @@ class SiteMajor:
                          self.values[pos], self.fill)
 
 
-@dataclass(frozen=True, eq=False)
-class TravelTimeMatrix:
+@dataclass(init=False, repr=False, eq=False)
+class TravelTimeMatrix(_Record):
     """Walk minutes from each site (column) to each demand point (row).
 
     ``times`` may be given dense or as a ``SiteMajor``; it is kept as the
@@ -309,6 +310,9 @@ class TravelTimeMatrix:
     times: SiteMajor
     demand_order: tuple[str, ...]
     site_order: tuple[str, ...]
+
+    # equal only to itself, as its arrays have no equality
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __post_init__(self):
         t = self.times

@@ -409,3 +409,16 @@ def test_validation_messages(build, message):
     with pytest.raises(ValidationError) as info:
         build()
     assert str(info.value) == message
+
+
+FROZEN = [cls for cls in RECORDS if cls is not RunConfig]
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=[c.__name__ for c in FROZEN])
+def test_frozen_records_refuse_every_name(cls):
+    """A name that is no field is refused as a field is, slotted or not."""
+    record = make(cls)
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot assign to field 'x'"):
+        record.x = 1
+    with pytest.raises(dataclasses.FrozenInstanceError, match="cannot delete field 'x'"):
+        del record.x

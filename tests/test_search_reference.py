@@ -626,15 +626,16 @@ def test_local_search_confirms_about_one_layout_per_move():
 
 
 def test_optimize_scores_each_layout_once(monkeypatch):
-    """On the seed-7 city, ``optimize`` builds 40 rows of canonical field,
+    """On the seed-7 city, ``optimize`` builds 39 rows of canonical field,
     where rebuilding each step's field from scratch built 76.  The search
     scores the primary group alone, so each of its 37 canonical evaluations
     builds one row: the empty layout, the 30 candidates that greedy
     confirms in its 26 steps, and the 6 swaps or drops that local search
     confirms in its 6 moves and its last scan.  One more row is the
     all-open layout that ``_Evaluator.__init__`` bounds the objective by,
-    and 2 are the scenario's 2 groups scored at assembly.  No layout is
-    evaluated twice."""
+    and 1 is the elderly group, which the search never scores, scored at
+    assembly; the general group's field is the one the search carried.
+    No layout is evaluated twice."""
     rows, layouts = [], []
     field, evaluate = _Catchment.field, _Evaluator.evaluate
     monkeypatch.setattr(_Catchment, "field", lambda self, open_idx, gamma:
@@ -648,4 +649,4 @@ def test_optimize_scores_each_layout_once(monkeypatch):
     assert [step[0] for step in result.trace].count("open") == 26
     assert len(result.trace) == 26 + 6
     assert len(layouts) == len(set(layouts)) == 1 + 30 + 6
-    assert sum(rows) == 37 + 1 + 2
+    assert sum(rows) == 37 + 1 + 1
