@@ -128,7 +128,7 @@ class _Record:
 # A city holds one of each of these records per node, edge, demand point or
 # site, so they keep their fields in slots, with no ``__dict__`` each, and
 # check them in an ``__init__`` of their own: the shared one would make
-# reading a city's bundle about a quarter slower.
+# reading a city's bundle about a third slower.
 @dataclass(init=False, repr=False, eq=False, slots=True)
 class Coordinate(_Record):
     """WGS84 position in decimal degrees."""

@@ -8,7 +8,7 @@ package and ``cli`` have always offered still resolve, and the commands
 call routing, scoring and the optimizer through ``cli``'s attributes,
 where a wrapper set on the module is seen.  Every public dataclass has a
 docstring of its own, so that ``dataclass`` need not build one from its
-signature at import.
+signature at import, and no record has methods generated for it.
 The argument parser shares the config flags of its four commands through
 one parent parser; ``build_parser_per_command``, the construction it
 replaced, is the reference for every command's help and every flag.
