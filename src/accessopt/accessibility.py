@@ -127,33 +127,19 @@ class _Catchment:
         self.W = SiteMajor(times.shape, times.starts, times.demand,
                            weights * self.ratios[times.site], fill=0.0)
 
-    def field(self, open_idx: np.ndarray, gamma: float) -> np.ndarray:
-        """Score of every demand point under each of a block of layouts.
-
-        ``open_idx`` is a (B, k) integer array, one layout's ascending site
-        indices a row; the result is (B, demand), one layout a row.  Each
-        layout's k rows of ``W`` are added one after another in ascending
-        site order, so a layout has the same bits in any block.
-        """
-        out = np.empty((len(open_idx), self.W.shape[0]))
+    def field(self, open_idx, gamma: float) -> np.ndarray:
+        """Score of every demand point under the layout that opens the sites
+        ``open_idx``, given in any order: their rows of ``W`` are added one
+        after another in ascending site order."""
         is_open = np.zeros(self.W.shape[1], dtype=bool)
-        for row, idx in zip(out, open_idx):
-            is_open[:] = False
-            is_open[idx] = True
-            take = is_open[self.W.site]
-            # bincount adds in input order: each point's open sites in
-            # ascending order, never pairwise; a skipped entry is +0.0,
-            # which changes no sum
-            row[:] = np.bincount(self.W.demand[take], self.W.values[take],
-                                 minlength=len(row))
+        is_open[open_idx] = True
+        take = is_open[self.W.site]
+        # bincount adds in input order: each point's open sites in ascending
+        # order, never pairwise; a skipped entry is +0.0, which changes no sum
+        row = np.bincount(self.W.demand[take], self.W.values[take], minlength=self.W.shape[0])
         # a huge gamma may overflow to inf, which every caller refuses
         with np.errstate(over="ignore"):
-            return gamma * out
-
-    def scores(self, open_idx: np.ndarray, gamma: float) -> AccessibilityField:
-        """The field of the one layout of a (1, k) ``open_idx``, by demand id."""
-        field = self.field(open_idx, gamma)[0].tolist()
-        return AccessibilityField(self.group, dict(zip(self.demand_ids, field)), gamma)
+            return gamma * row
 
 
 def supply_demand_ratio(
@@ -220,7 +206,8 @@ def accessibility_scores(
     """
     _check_positive(gamma, "gamma")
     catchment, sites = _open_catchment(scenario, matrix, open_sites)
-    return catchment.scores(np.arange(len(sites), dtype=np.intp)[None, :], gamma)
+    field = catchment.field(range(len(sites)), gamma).tolist()
+    return AccessibilityField(catchment.group, dict(zip(catchment.demand_ids, field)), gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .geodata import (
     Scenario,
     ValidationError,
     _Record,
+    _utf8_lines,
     format_number,
     generate_synthetic_scenario,
     load_scenario,
@@ -186,29 +187,29 @@ def read_config_file(path) -> dict:
     """Flat ``key = value`` grammar with ``#`` comments; lists are comma separated.
 
     Path values resolve relative to the config file's directory.  A leading
-    UTF-8 byte order mark is skipped.
+    UTF-8 byte order mark is skipped.  A byte that is not UTF-8 is refused
+    after the lines before it.
     """
     path = Path(path)
     base = path.parent
     values: dict = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _FIELD_TYPES:
-                raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
-            try:
-                value = _convert(key, raw)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
-            if key in _PATH_KEYS:
-                value = str((base / value).resolve())
-            values[key] = value
+    for lineno, line in enumerate(_utf8_lines(path), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _FIELD_TYPES:
+            raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
+        try:
+            value = _convert(key, raw)
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
+        if key in _PATH_KEYS:
+            value = str((base / value).resolve())
+        values[key] = value
     return values
 
 

@@ -15,6 +15,7 @@ included, and quotes only cells that need it.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 from dataclasses import MISSING, FrozenInstanceError, dataclass
@@ -408,6 +409,8 @@ def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build,
     ``SchemaError``; an ``InputError`` from a row comes out with
     ``path:line:`` in front.  ``check`` returns the index and error of the
     first built value it refuses against the values before it, or ``None``.
+    A byte that is not UTF-8, or a row that cannot be split, raises a
+    ``ParseError`` that names its line, after the errors of the rows before.
 
     One fast pass parses each column at once (see ``_COLUMN_FORMS``),
     builds and checks.  When anything in it fails, a replay row by row
@@ -415,23 +418,27 @@ def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build,
     """
     rows: list[list[str]] = []
     lines: list[int] = []
-    unread = None  # a failure to decode or split a later row, raised last
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    header, end, unread = [], 0, None  # unread: a later row's ParseError, raised last
+    reader = csv.reader(_utf8_lines(path))
+    try:
         header = next(reader, [])
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
-        width = len(header)
-        try:
-            for row in reader:
-                if row:
-                    if len(row) < width:
-                        row += [""] * (width - len(row))
-                    rows.append(row)
-                    lines.append(reader.line_num)
-        except (csv.Error, ValueError) as exc:
-            unread = exc
+        width, end = len(header), reader.line_num
+        for row in reader:
+            if row:
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                rows.append(row)
+                lines.append(reader.line_num)
+            end = reader.line_num
+    except csv.Error as exc:
+        unread = ParseError(f"{path}:{end + 1}: cannot split the row: {exc}")
+    except ParseError as exc:
+        unread = exc
+    if unread is not None and not header:
+        raise unread
+    missing = [name for name in columns if name not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s): {', '.join(missing)}")
     position = {name: i for i, name in enumerate(header)}
     cells = [(position[name], name, parse) for name, parse in columns.items()]
     try:
@@ -460,6 +467,29 @@ def read_csv(path, columns: Mapping[str, Callable[[str, str], Any]], build,
     if unread is not None:
         raise unread
     return built
+
+
+def _utf8_lines(path) -> Iterator[str]:
+    """The lines of ``path``, a leading byte order mark skipped.  A byte that
+    is not UTF-8 raises a ``ParseError`` naming its line after the lines before."""
+    n = 0
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            for n, line in enumerate(fh, 1):
+                yield line
+    except UnicodeDecodeError:
+        # the decoder reads ahead: find the byte in the file, and the lines before
+        data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = io.StringIO(data[:exc.start].decode("utf-8"), newline="").readlines()
+            if before and not before[-1].endswith(("\n", "\r")):
+                before.pop()  # the start of the line that holds the byte
+            yield from before[n:]
+            raise ParseError(f"{path}:{len(before) + 1}: cannot decode byte "
+                             f"0x{data[exc.start]:02x} as UTF-8 ({exc.reason})") from None
+        raise
 
 
 def _text(raw: str, column: str) -> str:

@@ -137,9 +137,8 @@ class OptimizationResult(_Record):
 def _check_layout(layout: Layout, scenario: Scenario) -> None:
     bad = sorted(layout.open_candidates - set(scenario.candidate_site_ids))
     if bad:
-        raise ValidationError(
-            f"layout members must be candidate sites of the scenario: {', '.join(bad)}"
-        )
+        raise ValidationError(f"layout members must be candidate sites of the scenario: "
+                              f"{', '.join(bad)}")
 
 
 class _Scored(NamedTuple):
@@ -167,7 +166,7 @@ class _Evaluator:
     the search.  The catchment adds the open rows in ascending site order,
     as ``accessibility_scores`` does, so ``evaluate`` is bit-reproducible:
     it is the canonical value on which every search decision is made, and
-    ``evaluate_block`` gives each of a block of layouts the same bits.
+    the one way greedy, local search and the oracle score a layout.
     ``evaluate`` returns a ``_Scored`` record: the objective, feasibility and
     total squared shortfall, each group's canonical field and the open
     candidate ids, which the search carries from step to step.
@@ -202,9 +201,7 @@ class _Evaluator:
             self.catchments[name] = _catchment(scenario, matrices, name)
         self.pos_mask = {g: c.pop > 0 for g, c in self.catchments.items()}
         self.site_index = {sid: j for j, sid in enumerate(scenario.site_ids)}
-        self.existing_idx = [
-            j for j, s in enumerate(scenario.sites) if s.existing
-        ]
+        self.existing_idx = [j for j, s in enumerate(scenario.sites) if s.existing]
         self.candidate_ids = tuple(sorted(scenario.candidate_site_ids))
         self.n_demands = len(scenario.demands)
         self.field_tol = (2 * len(scenario.sites) + 16) * _EPS
@@ -237,18 +234,9 @@ class _Evaluator:
         squares that some order of summation gives as ``total``."""
         return np.fmax(total * (1.0 - self.sum_tol) - _TINY, least)
 
-    def open_indices(self, open_candidates) -> np.ndarray:
-        """The layout's open sites, existing ones included, as a (1, k) row."""
-        idx = list(self.existing_idx)
-        idx.extend(self.site_index[c] for c in open_candidates)
-        idx.sort()
-        return np.array([idx], dtype=np.intp)
-
-    def block_fields(self, open_idx: np.ndarray) -> dict[str, np.ndarray]:
-        return {g: c.field(open_idx, self.params.gamma) for g, c in self.catchments.items()}
-
     def fields(self, open_candidates) -> dict[str, np.ndarray]:
-        return {g: f[0] for g, f in self.block_fields(self.open_indices(open_candidates)).items()}
+        idx = [*self.existing_idx, *(self.site_index[c] for c in open_candidates)]
+        return {g: c.field(idx, self.params.gamma) for g, c in self.catchments.items()}
 
     @cached_property
     def by_demand(self) -> dict[str, SiteMajor]:
@@ -285,41 +273,18 @@ class _Evaluator:
             np.maximum.at(out[g], t.site, t.values)
         return out
 
-    def evaluate_block(self, open_idx: np.ndarray):
-        """(objective, feasible, total squared shortfall) arrays for B layouts.
-
-        ``open_idx`` is a (B, n) integer array: each row one layout's open
-        site indices in ascending order, the existing sites included, so
-        every layout opens n - len(existing_idx) candidates.  Each layout is
-        scored alone from its n rows of W, and every sum over demand points
-        runs along one C-contiguous row, pairwise as for a single layout,
-        so a row has the bits ``evaluate`` gives its layout.
-        """
-        return self.score(self.block_fields(open_idx), open_idx)
-
-    def score(self, fields, open_idx: np.ndarray):
-        """``evaluate_block``'s arrays from the fields of ``open_idx``."""
-        p = self.params
-        deviation = np.abs(fields[p.primary_group] - p.a_sigma)
-        n_open = open_idx.shape[1] - len(self.existing_idx)
-        objective = p.alpha * n_open + p.beta * np.sum(deviation**2, axis=-1)
-        feasible = np.ones(len(open_idx), dtype=bool)
-        shortfall = 0.0
-        for g in p.constraint_groups:
-            scores = fields[g].compress(self.pos_mask[g], axis=1)
-            feasible &= ~np.any(scores < self.floor, axis=-1)
-            shortfall = shortfall + np.sum(np.maximum(0.0, p.a_sigma - scores) ** 2,
-                                           axis=-1)
-        return objective, feasible, shortfall
-
     def evaluate(self, open_candidates) -> _Scored:
         """One layout, scored."""
-        open_ids = frozenset(open_candidates)
-        open_idx = self.open_indices(open_ids)
-        fields = self.block_fields(open_idx)
-        objective, feasible, shortfall = self.score(fields, open_idx)
-        return _Scored(float(objective[0]), bool(feasible[0]), float(shortfall[0]),
-                       {g: f[0] for g, f in fields.items()}, open_ids)
+        p, open_ids = self.params, frozenset(open_candidates)
+        fields = self.fields(open_ids)
+        deviation = np.abs(fields[p.primary_group] - p.a_sigma)
+        objective = p.alpha * len(open_ids) + p.beta * np.sum(deviation**2)
+        feasible, shortfall = True, 0.0
+        for g in p.constraint_groups:
+            scores = fields[g][self.pos_mask[g]]
+            feasible = feasible and not np.any(scores < self.floor)
+            shortfall = shortfall + np.sum(np.maximum(0.0, p.a_sigma - scores) ** 2)
+        return _Scored(float(objective), feasible, float(shortfall), fields, open_ids)
 
     @cached_property
     def empty(self) -> _Scored:
@@ -587,10 +552,8 @@ def _best_move(ev: _Evaluator, current: _Scored):
 def _local_search(ev: _Evaluator, current: _Scored,
                   budget: int) -> tuple[_Scored, list[tuple[str, ...]]]:
     if not current.feasible:
-        warnings.warn(
-            "local search start layout is infeasible; returning it unchanged",
-            stacklevel=3,
-        )
+        warnings.warn("local search start layout is infeasible; returning it unchanged",
+                      stacklevel=3)
         return current, []
     trace: list[tuple[str, ...]] = []
     for _ in range(budget):
@@ -634,20 +597,15 @@ def _assemble_result(ev: _Evaluator, matrices, scored: _Scored, trace,
         # the evaluator scored its own groups; only the others need a catchment
         row = scored.fields.get(g.name)
         if row is None:
-            catchment = _catchment(scenario, matrices, g.name)
-            row = catchment.field(ev.open_indices(scored.open_ids), params.gamma)[0]
+            idx = [*ev.existing_idx, *(ev.site_index[c] for c in scored.open_ids)]
+            row = _catchment(scenario, matrices, g.name).field(idx, params.gamma)
         fields[g.name] = field = AccessibilityField(
             g.name, dict(zip(scenario.demand_ids, row.tolist())), params.gamma)
         coverage[g.name] = coverage_report(field, scenario.demands, bin_spec)
-    return OptimizationResult(
-        layout=Layout(scored.open_ids),
-        objective=scored.objective,
-        feasible=scored.feasible,
-        per_group_fields=fields,
-        coverage=coverage,
-        shortfalls=ev.shortfalls(scored),
-        trace=tuple(trace),
-    )
+    return OptimizationResult(layout=Layout(scored.open_ids), objective=scored.objective,
+                              feasible=scored.feasible, per_group_fields=fields,
+                              coverage=coverage, shortfalls=ev.shortfalls(scored),
+                              trace=tuple(trace))
 
 
 def optimize(scenario: Scenario, matrices, params: ObjectiveParams,
@@ -680,13 +638,10 @@ def _branch_and_bound(ev: _Evaluator, incumbent: _Scored) -> _Scored:
     between the child's field and the field with all later candidates
     open.  An expanded node screens all of its children in one
     ``_MoveBlock``, two rows a child: its own layout, and the layouts
-    below it.  The child layouts that may win are confirmed in one
-    ``evaluate_block`` call, and then the subtrees that may still win are
-    pushed.
+    below it.  Each child layout that may win is confirmed by ``evaluate``,
+    and then the subtrees that may still win are pushed.
     """
     ids = ev.candidate_ids
-    cand_cols = np.array([ev.site_index[c] for c in ids], dtype=np.intp)
-    existing = np.array(ev.existing_idx, dtype=np.intp)
     rows = {g: np.asarray(t) for g, t in ev.by_demand.items()}
     # screen row 2j is the child that opens candidate j, row 2j + 1 every
     # layout below it: it may add any candidate after j
@@ -698,8 +653,8 @@ def _branch_and_bound(ev: _Evaluator, incumbent: _Scored) -> _Scored:
     below = np.arange(2 * len(ids)) % 2
     least_shortfall = None if incumbent.feasible else incumbent.shortfall
 
-    def qualifies(objective, feasible, shortfall):
-        return feasible if least_shortfall is None else shortfall == least_shortfall
+    def qualifies(scored):
+        return scored.feasible if least_shortfall is None else scored.shortfall == least_shortfall
 
     def may_qualify(screen):
         if least_shortfall is None:
@@ -708,15 +663,14 @@ def _branch_and_bound(ev: _Evaluator, incumbent: _Scored) -> _Scored:
 
     def may_win(bound, k):
         # an exact tie on the objective leaves (k, ids) to decide
-        return (bound < best[0]) | ((bound == best[0]) & (k <= best[1]))
+        return (bound < best.objective) | ((bound == best.objective)
+                                           & (k <= len(best.open_ids)))
 
     def key(scored):
         return scored.objective, len(scored.open_ids), tuple(sorted(scored.open_ids))
 
     empty = ev.empty
-    if qualifies(*empty[:3]) and key(empty) < key(incumbent):
-        incumbent = empty
-    best = key(incumbent)
+    best = empty if qualifies(empty) and key(empty) < key(incumbent) else incumbent
     stack = [((), empty.fields, -math.inf)]
     while stack:
         picks, fields, bound = stack.pop()
@@ -728,26 +682,17 @@ def _branch_and_bound(ev: _Evaluator, incumbent: _Scored) -> _Scored:
                             {g: b[2 * start:] for g, b in high.items()})
         bounds = screen.objective(k + below[2 * start:])
         maybe = may_qualify(screen)
-        js = start + np.flatnonzero(maybe[::2] & may_win(bounds[::2], k))
-        if len(js):
-            open_idx = np.empty((len(js), len(existing) + k), dtype=np.intp)
-            open_idx[:, :len(existing)] = existing
-            open_idx[:, len(existing):-1] = cand_cols[list(picks)]
-            open_idx[:, -1] = cand_cols[js]
-            open_idx.sort(axis=1)
-            objective, feasible, shortfall = ev.evaluate_block(open_idx)
-            for r in np.flatnonzero(qualifies(objective, feasible, shortfall)
-                                    & (objective <= best[0])):
-                best = min(best, (float(objective[r]), k,
-                                  tuple(ids[i] for i in (*picks, js[r]))))
+        for j in start + np.flatnonzero(maybe[::2] & may_win(bounds[::2], k)):
+            trial = ev.evaluate([ids[i] for i in (*picks, j)])
+            if qualifies(trial) and key(trial) < key(best):
+                best = trial
         # the last candidate has nothing below it
         expand = np.flatnonzero(maybe[1:-1:2] & may_win(bounds[1:-1:2], k + 1))
         for t in expand[::-1]:
             j = start + t
             child = {g: fields[g] + rows[g][j] for g in rows}
             stack.append(((*picks, j), child, bounds[2 * t + 1]))
-    # a layout that a block scored is scored again alone, for its fields
-    return incumbent if best == key(incumbent) else ev.evaluate(best[2])
+    return best
 
 
 def exhaustive_oracle(scenario: Scenario, matrices, params: ObjectiveParams,
@@ -767,8 +712,8 @@ def exhaustive_oracle(scenario: Scenario, matrices, params: ObjectiveParams,
     must be infeasible.  A subtree is pruned only when its bound exceeds the
     incumbent's objective, or equals it with more sites than the
     incumbent, so every exact tie reaches its key comparison.  Layouts are
-    scored only by ``_Evaluator.evaluate_block``, so the result has the
-    bits of scoring every subset.
+    scored only by ``_Evaluator.evaluate``, so the result has the bits of
+    scoring every subset, and the winner is scored once.
 
     The canonical field is a left-to-right sum of non-negative terms, and
     rounding to nearest is monotone, so opening a site never lowers any
@@ -782,9 +727,7 @@ def exhaustive_oracle(scenario: Scenario, matrices, params: ObjectiveParams,
     bin_spec = _check_bins(default_bins(params.a_sigma) if bins is None else bins)
     pool = len(scenario.candidate_site_ids)
     if pool > max_pool:
-        raise CandidatePoolError(
-            f"{pool} candidate sites exceed the oracle's cap of {max_pool}"
-        )
+        raise CandidatePoolError(f"{pool} candidate sites exceed the oracle's cap of {max_pool}")
     ev = _Evaluator(scenario, matrices, params)
     chosen = _branch_and_bound(ev, _search(ev, DEFAULT_BUDGET)[0])
     return _assemble_result(ev, matrices, chosen, (), bin_spec)

@@ -279,8 +279,9 @@ def test_result_fields_match_scores(seed, search):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_field_adds_open_sites_left_to_right(seed):
-    """Each layout of a block, and the layout alone, has the bits of the
-    plain left-to-right loop, for every layout size."""
+    """Each layout, its open sites given in ascending, reversed or shuffled
+    order, has the bits of the plain left-to-right loop, for every layout
+    size."""
     scenario, matrices, params, rng = random_instance(seed)
     n_sites = len(scenario.sites)
     for g in GROUPS:
@@ -289,14 +290,11 @@ def test_field_adds_open_sites_left_to_right(seed):
         contributions = weights * ratios[None, :]
         catchment = _Catchment(matrix, scenario.demands, scenario.sites)
         for k in range(n_sites + 1):
-            block = np.array([np.sort(rng.permutation(n_sites)[:k]) for _ in range(5)],
-                             dtype=np.intp).reshape(5, k)
-            want = np.array([left_to_right(contributions, idx, params.gamma)
-                             for idx in block.tolist()])
-            assert catchment.field(block, params.gamma).tobytes() == want.tobytes()
-            for idx, row in zip(block, want):
-                alone = catchment.field(idx[None, :], params.gamma)
-                assert alone.tobytes() == row.tobytes()
+            for _ in range(5):
+                idx = sorted(rng.permutation(n_sites)[:k].tolist())
+                want = np.array(left_to_right(contributions, idx, params.gamma))
+                for order in (idx, idx[::-1], rng.permutation(idx).tolist()):
+                    assert catchment.field(order, params.gamma).tobytes() == want.tobytes()
 
 
 def test_columns_summed_in_another_order_change_bits():

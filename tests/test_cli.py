@@ -219,6 +219,43 @@ class TestScore:
             f"error: {bundle / 'edges.csv'}:{lineno}: edge b->zz references unknown node 'zz'\n")
         assert not out.exists()
 
+    def test_stray_quote_names_file_and_line(self, tmp_path, capsys):
+        """A quote left open on line 3 of a 60x60 city's nodes.csv reads the
+        rest of the file as one cell, past the CSV module's field limit."""
+        bundle = tmp_path / "bundle"
+        assert main(["synth", "--grid-rows", "60", "--grid-cols", "60", "--n-existing", "2",
+                     "--n-candidate", "2", "--seed", "1", "--out", str(bundle)]) == 0
+        nodes = bundle / "nodes.csv"
+        lines = nodes.read_text().splitlines(keepends=True)
+        lines[2] = '"' + lines[2]
+        nodes.write_text("".join(lines))
+        assert len("".join(lines[2:])) > 131072
+        out = tmp_path / "o"
+        assert main(["score", "--config", str(bundle / "run.cfg"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {nodes}:3: cannot split the row: field larger than field limit (131072)\n")
+        assert not out.exists()
+
+    def test_undecodable_config_byte_names_file_and_line(self, tmp_path, capsys):
+        cfg = synth_small(tmp_path / "bundle")
+        with open(cfg, "ab") as fh:
+            fh.write(b"alpha = 1\xff\n")
+        lineno = len(cfg.read_bytes().splitlines())
+        out = tmp_path / "o"
+        assert main(["score", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{lineno}: cannot decode byte 0xff as UTF-8 (invalid start byte)\n")
+        assert not out.exists()
+
+    def test_config_lines_before_an_undecodable_byte_refused_first(self, tmp_path, capsys):
+        cfg = synth_small(tmp_path / "bundle")
+        lineno = append_line(cfg, "colour = red")
+        with open(cfg, "ab") as fh:
+            fh.write(b"alpha = 1\xff\n")
+        assert main(["score", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:{lineno}: unknown config key 'colour'\n")
+
     def test_dump_matrix_flag(self, tmp_path):
         bundle = tmp_path / "bundle"
         cfg = synth_small(bundle)

@@ -335,23 +335,6 @@ class TestOracle:
             assert not ok
 
 
-def test_block_is_scored_one_layout_at_a_time():
-    """24 all-open layouts of the seed-7 city (400 demand points, 56 sites)
-    gather one layout's 56 rows of W at a time: the peak stays far below the
-    4.3 MB that gathering all 24 layouts' rows at once would take."""
-    sc = generate_synthetic_scenario(ACCEPTANCE_SEED)
-    ev = _Evaluator(sc, build_travel_time_matrices(sc), params())
-    assert (ev.n_demands, len(sc.sites)) == (400, 56)
-    open_idx = np.tile(np.arange(len(sc.sites), dtype=np.intp), (24, 1))
-    tracemalloc.start()
-    try:
-        ev.evaluate_block(open_idx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
-
-
 class TestOptimize:
     def test_result_invariants(self):
         sc, mats, p = oracle_instance(42)
@@ -410,8 +393,8 @@ class TestFailFast:
     @staticmethod
     def counted(monkeypatch):
         calls = []
-        # every layout, scored alone or in a block, goes through ``score``
-        for name in ("__init__", "score"):
+        # every layout is scored by ``evaluate``
+        for name in ("__init__", "evaluate"):
             method = getattr(_Evaluator, name)
 
             def wrapper(self, *args, _method=method, _name=name):
@@ -469,8 +452,8 @@ class TestFailFast:
         calls = self.counted(monkeypatch)
         exhaustive_oracle(sc, mats, params(), max_pool=12)
         assert calls.count("__init__") == 1
-        # the search scores 10 layouts one at a time, the branch and bound one block
-        assert calls.count("score") == 11
+        # the search scores 10 layouts, the branch and bound 1
+        assert calls.count("evaluate") == 11
 
 
 def test_city_routing_and_evaluator_memory_bounded_by_walk_radius():

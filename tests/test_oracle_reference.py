@@ -5,7 +5,8 @@
 candidate mask with it, as the oracle did before it searched.  Both are
 slow and plainly correct, so the oracle must reproduce them exactly: the
 same layout, objective bits, feasibility and shortfalls.  On small pools
-``evaluate_block`` must give every layout the bits of the 1-D path.
+``_Evaluator.evaluate``, the one way the oracle scores a layout, must give
+every layout the bits of the reference.
 """
 
 import dataclasses
@@ -16,7 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from accessopt.accessibility import accessibility_scores
+from accessopt import optimizer
+from accessopt.accessibility import _Catchment, accessibility_scores
 from accessopt.geodata import generate_synthetic_scenario
 from accessopt.optimizer import (
     FEASIBILITY_TOL,
@@ -130,8 +132,7 @@ def random_instance(seed):
 
 
 def city_instance():
-    """A synthetic city, both groups constrained: 144 demand points, so a
-    block of the default size holds a few dozen layouts."""
+    """A synthetic city, both groups constrained: 144 demand points."""
     scenario = generate_synthetic_scenario(4, grid_rows=12, grid_cols=12,
                                            n_existing=4, n_candidate=10)
     matrices = build_travel_time_matrices(scenario)
@@ -221,70 +222,30 @@ def assert_oracle_equals_reference(name):
     assert result.shortfalls == ev.shortfalls(ev.evaluate(chosen)), name
 
 
-def split_blocks(monkeypatch, block_bytes):
-    """Score every ``evaluate_block`` call in chunks of layouts that hold at
-    most ``block_bytes`` of W (layout x open site x demand point), one
-    layout at least, and join the chunks' results."""
-    evaluate_block = _Evaluator.evaluate_block
-
-    def split(self, open_idx):
-        rows = max(1, block_bytes // (8 * max(1, self.n_demands * open_idx.shape[1])))
-        parts = [evaluate_block(self, open_idx[at:at + rows])
-                 for at in range(0, len(open_idx), rows)]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-    monkeypatch.setattr(_Evaluator, "evaluate_block", split)
-
-
-# the oracle confirms a node's children in one call; 4096 bytes score the
-# children of the larger instances one at a time, 512 KiB leave them whole
-@pytest.mark.parametrize("block_bytes", [512 * 1024, 4096])
+# the oracle must not depend on how its seed search sums the Gram matrix:
+# in one block, and in blocks of the default size
+@pytest.mark.parametrize("gram_block", [512 * 1024, optimizer._GRAM_BLOCK])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_oracle_equals_reference(name, block_bytes, monkeypatch):
-    split_blocks(monkeypatch, block_bytes)
+def test_oracle_equals_reference(name, gram_block, monkeypatch):
+    monkeypatch.setattr(optimizer, "_GRAM_BLOCK", gram_block)
     assert_oracle_equals_reference(name)
 
 
-def subset_blocks(ev, rows):
-    """Every candidate subset, in blocks of at most ``rows`` equal-size
-    subsets (all of a size when None): (picks, open_idx), each subset's
-    positions in ``ev.candidate_ids`` and the ascending sites of its layout."""
-    columns = np.array([ev.site_index[c] for c in ev.candidate_ids], dtype=np.intp)
-    existing = np.array(ev.existing_idx, dtype=np.intp)
-    for k in range(len(columns) + 1):
-        combos = itertools.combinations(range(len(columns)), k)
-        while chunk := list(itertools.islice(combos, rows)):
-            picks = np.array(chunk, dtype=np.intp).reshape(len(chunk), k)
-            open_idx = np.concatenate(
-                (np.broadcast_to(existing, (len(chunk), len(existing))), columns[picks]),
-                axis=1,
-            )
-            open_idx.sort(axis=1)
-            yield picks, open_idx
-
-
-@pytest.mark.parametrize("rows", [pytest.param(1, id="one-layout"),
-                                  pytest.param(None, id="whole-size")])
-def test_every_block_row_equals_reference(rows):
-    """On pools up to 8, every layout comes once, scored alone or in a block
-    of every subset of its size, with the bits of the 1-D path."""
+def test_every_layout_equals_reference():
+    """On pools up to 8, ``evaluate`` gives every subset the bits of the
+    reference."""
     checked = 0
     for name in sorted(INSTANCES):
         (_, _, _), ev, (_, _, scores) = reference(name)
         if len(ev.candidate_ids) > 8:
             continue
-        seen = []
-        for picks, open_idx in subset_blocks(ev, rows):
-            objective, feasible, shortfall = ev.evaluate_block(open_idx)
-            for r, row in enumerate(picks):
-                subset = tuple(ev.candidate_ids[i] for i in row)
+        for k in range(len(ev.candidate_ids) + 1):
+            for subset in itertools.combinations(ev.candidate_ids, k):
+                objective, feasible, shortfall = ev.evaluate(subset)[:3]
                 expected = scores[subset]
-                assert bits(objective[r]) == bits(expected[0]), name
-                assert bool(feasible[r]) == expected[1], name
-                assert bits(shortfall[r]) == bits(expected[2]), name
-                assert ev.evaluate(subset)[:3] == expected, name
-                seen.append(subset)
-        assert sorted(seen) == sorted(scores), name
+                assert bits(objective) == bits(expected[0]), name
+                assert feasible == expected[1], name
+                assert bits(shortfall) == bits(expected[2]), name
         checked += 1
     assert checked >= 40
 
@@ -303,22 +264,39 @@ def test_any_valid_bounds_give_the_same_oracle(seed, monkeypatch):
 def test_oracle_scores_few_layouts(seed, monkeypatch):
     """On the benchmark's pool of 16 the bounds leave at most 1 % of the
     2**16 layouts to score, greedy construction and local search included."""
-    rows = []
-    evaluate_block = _Evaluator.evaluate_block
-
-    def counted(self, open_idx):
-        rows.append(len(open_idx))
-        return evaluate_block(self, open_idx)
-
+    layouts = []
+    evaluate = _Evaluator.evaluate
     scenario, matrices, params = pool16_instance(seed)
-    monkeypatch.setattr(_Evaluator, "evaluate_block", counted)
+    monkeypatch.setattr(_Evaluator, "evaluate", lambda self, open_ids:
+                        layouts.append(open_ids) or evaluate(self, open_ids))
     result = exhaustive_oracle(scenario, matrices, params, max_pool=16)
     assert result.feasible
-    assert sum(rows) <= 2**16 // 100
+    assert len(layouts) <= 2**16 // 100
+
+
+def test_oracle_scores_its_winner_once(monkeypatch):
+    """On the benchmark's oracle city 1 the oracle builds 29 rows of
+    canonical field: the all-open row that ``_Evaluator.__init__`` bounds
+    the objective by, one for each of the 27 layouts that the search and
+    the branch and bound confirm, and the elderly group's, which only
+    assembly scores.  The winner is one of the 27: its scored record is
+    kept, not scored again."""
+    rows, layouts = [], []
+    field, evaluate = _Catchment.field, _Evaluator.evaluate
+    monkeypatch.setattr(_Catchment, "field", lambda self, open_idx, gamma:
+                        rows.append(open_idx) or field(self, open_idx, gamma))
+    monkeypatch.setattr(_Evaluator, "evaluate", lambda self, open_ids:
+                        layouts.append(frozenset(open_ids)) or evaluate(self, open_ids))
+    scenario, matrices, params = pool16_instance(1)
+    result = exhaustive_oracle(scenario, matrices, params, max_pool=16)
+    assert (params.primary_group, params.constraint_groups) == ("general", ("general",))
+    assert len(rows) == 1 + 27 + 1
+    assert len(layouts) == len(set(layouts)) == 27
+    assert layouts.count(result.layout.open_candidates) == 1
 
 
 def test_instances_cover_every_case():
-    """The instances above exercise what block selection could get wrong."""
+    """The instances above exercise what the branch and bound could get wrong."""
     cases = set()
     for name in INSTANCES:
         (scenario, _, params), ev, (chosen, _, scores) = reference(name)

@@ -298,6 +298,22 @@ def test_undecodable_tail_after_a_bad_cell(monkeypatch, tmp_path):
     result = assert_same_as_by_row(monkeypatch, lambda: parse_network(path, empty_edges))
     assert result[:2] == ("error", geodata.ParseError)
     path.write_bytes(("node_id,lon,lat\n" + rows).encode() + b"\xff\xfe\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(geodata.ParseError, match=r"nodes\.csv:3002: cannot decode byte 0xff"):
+        parse_network(path, empty_edges)
+
+
+@pytest.mark.parametrize("bad_cell", [True, False])
+def test_undecodable_byte_near_the_top(tmp_path, bad_cell):
+    """A decoder reads the file ahead in chunks, so a byte that is not UTF-8
+    on line 4 fails the read of the header; the rows before it are still
+    parsed first, and the error names line 4 wherever it falls."""
+    path = tmp_path / "nodes.csv"
+    empty_edges = tmp_path / "edges.csv"
+    empty_edges.write_text("from_id,to_id,length_m,bidirectional\n", encoding="utf-8")
+    cell = "abc" if bad_cell else "118.7"
+    path.write_bytes(f"node_id,lon,lat\nn0,{cell},32\r\nn1,118.7,32\r".encode()
+                     + b"n\xc3\xa9\xe9,118.7,32\n")
+    message = r"nodes\.csv:2: .*abc" if bad_cell else r"nodes\.csv:4: cannot decode byte 0xe9"
+    with pytest.raises(geodata.ParseError, match=message):
         parse_network(path, empty_edges)
 
