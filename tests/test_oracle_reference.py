@@ -231,21 +231,38 @@ def test_oracle_equals_reference(name, gram_block, monkeypatch):
     assert_oracle_equals_reference(name)
 
 
-def test_every_layout_equals_reference():
+def subsets_in_order(ev, backwards):
+    """Every candidate subset, as the ids ``evaluate`` is given: in the
+    reference's order, or each whole size swept from its last subset back,
+    largest size first, every subset's ids reversed."""
+    sizes = range(len(ev.candidate_ids) + 1)
+    for k in reversed(sizes) if backwards else sizes:
+        size = list(itertools.combinations(ev.candidate_ids, k))
+        yield from ([s[::-1] for s in reversed(size)] if backwards else size)
+
+
+@pytest.mark.parametrize("backwards", [pytest.param(False, id="one-layout"),
+                                       pytest.param(True, id="whole-size")])
+def test_every_block_row_equals_reference(backwards):
     """On pools up to 8, ``evaluate`` gives every subset the bits of the
-    reference."""
+    reference, one layout after another in the reference's order or each
+    whole size swept backwards with its ids reversed: neither the calls
+    before nor the order of a layout's ids changes a bit."""
     checked = 0
     for name in sorted(INSTANCES):
         (_, _, _), ev, (_, _, scores) = reference(name)
         if len(ev.candidate_ids) > 8:
             continue
-        for k in range(len(ev.candidate_ids) + 1):
-            for subset in itertools.combinations(ev.candidate_ids, k):
-                objective, feasible, shortfall = ev.evaluate(subset)[:3]
-                expected = scores[subset]
-                assert bits(objective) == bits(expected[0]), name
-                assert feasible == expected[1], name
-                assert bits(shortfall) == bits(expected[2]), name
+        seen = []
+        for ids in subsets_in_order(ev, backwards):
+            subset = tuple(sorted(ids, key=ev.candidate_ids.index))
+            objective, feasible, shortfall = ev.evaluate(ids)[:3]
+            expected = scores[subset]
+            assert bits(objective) == bits(expected[0]), name
+            assert feasible == expected[1], name
+            assert bits(shortfall) == bits(expected[2]), name
+            seen.append(subset)
+        assert sorted(seen) == sorted(scores), name
         checked += 1
     assert checked >= 40
 
